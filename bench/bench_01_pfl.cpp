@@ -54,14 +54,11 @@ main(int argc, char **argv)
                  "results):\n";
     Table engines({"engine", "ROI (ms)", "raycast share",
                    "probes/ray", "final err (m)"});
-    double scalar_roi = 0.0, hier_roi = 0.0, packet_roi = 0.0;
-    for (const std::string engine : {"scalar", "hier", "packet"}) {
+    double scalar_roi = 0.0, hier_roi = 0.0;
+    for (const std::string engine : {"scalar", "hier"}) {
         KernelReport report =
             runKernelWarm("pfl", {"--raycast", engine});
-        (engine == "scalar"
-             ? scalar_roi
-             : (engine == "hier" ? hier_roi : packet_roi)) =
-            report.roi_seconds;
+        (engine == "scalar" ? scalar_roi : hier_roi) = report.roi_seconds;
         engines.addRow(
             {engine, Table::num(report.roi_seconds * 1e3, 0),
              Table::pct(report.metrics.at("raycast_fraction")),
@@ -72,10 +69,6 @@ main(int argc, char **argv)
     if (hier_roi > 0.0) {
         std::cout << "pfl ROI speedup (scalar -> hier): "
                   << Table::num(scalar_roi / hier_roi, 2) << "x\n";
-    }
-    if (packet_roi > 0.0) {
-        std::cout << "pfl ROI speedup (scalar -> packet): "
-                  << Table::num(scalar_roi / packet_roi, 2) << "x\n";
     }
 
     // Fig. 2 series detail for the default region.

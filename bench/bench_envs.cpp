@@ -7,10 +7,10 @@
  * simd::VecD lanes of environments in lockstep (DESIGN.md "Batched
  * environments"); this bench measures what that buys:
  *
- *  1. micro: steps/s of the four batched models (ball-throw
- *     evaluation, unicycle stepping, pfl motion model, pfl beam
- *     weighting) over an environment-count sweep 64..8192 — the
- *     scaling curve of SIMD-across-environments;
+ *  1. micro: steps/s of the three batched models (ball-throw
+ *     evaluation, unicycle stepping, pfl motion model) over an
+ *     environment-count sweep 64..8192 — the scaling curve of
+ *     SIMD-across-environments;
  *  2. end-to-end: the four kernels under --batch soa vs --batch
  *     scalar, ROI seconds and output-metric identity.
  *
@@ -58,14 +58,13 @@ sameArray(const std::vector<double> &a, const std::vector<double> &b)
                        a.size() * sizeof(double)) == 0;
 }
 
-/** One micro size-point: all four models, both engines. */
+/** One micro size-point: all three models, both engines. */
 struct MicroResult
 {
     std::size_t num_envs = 0;
     double throw_soa_meps = 0.0, throw_scalar_meps = 0.0;
     double step_soa_meps = 0.0, step_scalar_meps = 0.0;
     double motion_soa_meps = 0.0, motion_scalar_meps = 0.0;
-    double weight_soa_meps = 0.0, weight_scalar_meps = 0.0;
     bool identical = true;
 };
 
@@ -170,30 +169,6 @@ microAt(std::size_t n, Rng &rng)
                         sameArray(ys, yc) && sameArray(ths, thc);
     }
 
-    // -- pfl beam sensor-model weighting (60 beams, the kernel's
-    //    default scan) --
-    {
-        const std::size_t n_beams = 60;
-        BeamSensorModel model;
-        std::vector<double> expected(n * n_beams), scan(n_beams);
-        for (double &r : expected)
-            r = rng.uniform(0.0, 10.0);
-        for (double &r : scan)
-            r = rng.uniform(0.0, 10.0);
-        std::vector<double> lw_soa(n), lw_sc(n);
-        const double soa_s = bestOf(reps, [&] {
-            beamLogWeights(expected.data(), n, n_beams, scan.data(),
-                           model, 10.0, lw_soa.data(), BatchEngine::Soa);
-        });
-        const double sc_s = bestOf(reps, [&] {
-            beamLogWeights(expected.data(), n, n_beams, scan.data(),
-                           model, 10.0, lw_sc.data(),
-                           BatchEngine::Scalar);
-        });
-        res.weight_soa_meps = static_cast<double>(n) / soa_s / 1e6;
-        res.weight_scalar_meps = static_cast<double>(n) / sc_s / 1e6;
-        res.identical = res.identical && sameArray(lw_soa, lw_sc);
-    }
     return res;
 }
 
@@ -294,11 +269,6 @@ writeJson(const std::string &path, const std::vector<MicroResult> &micro,
         json.field("pfl_motion_scalar_msteps_s", m.motion_scalar_meps);
         json.field("pfl_motion_speedup",
                    m.motion_soa_meps / m.motion_scalar_meps);
-        json.field("pfl_weight_soa_mparticles_s", m.weight_soa_meps);
-        json.field("pfl_weight_scalar_mparticles_s",
-                   m.weight_scalar_meps);
-        json.field("pfl_weight_speedup",
-                   m.weight_soa_meps / m.weight_scalar_meps);
         json.field("identical", m.identical);
         json.endObject();
     }
@@ -371,12 +341,6 @@ main(int argc, char **argv)
                         Table::num(m.motion_soa_meps, 2),
                         Table::num(m.motion_soa_meps /
                                        m.motion_scalar_meps, 2) + "x",
-                        same});
-        scaling.addRow({count, "pfl weight(60)",
-                        Table::num(m.weight_scalar_meps, 3),
-                        Table::num(m.weight_soa_meps, 3),
-                        Table::num(m.weight_soa_meps /
-                                       m.weight_scalar_meps, 2) + "x",
                         same});
     }
     scaling.print();

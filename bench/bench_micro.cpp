@@ -98,13 +98,6 @@ BM_CastScanHier(benchmark::State &state)
 BENCHMARK(BM_CastScanHier);
 
 void
-BM_CastScanPacket(benchmark::State &state)
-{
-    castScanFine(state, RayEngine::Packet);
-}
-BENCHMARK(BM_CastScanPacket);
-
-void
 BM_FootprintCollision(benchmark::State &state)
 {
     OccupancyGrid2D map = makeCityMap(512, 0.5, 1);
@@ -391,17 +384,16 @@ writeRaycastBaseline(const std::string &path)
                             scan, engine, stats);
     };
 
-    std::vector<double> scalar_ranges, hier_ranges, packet_ranges;
-    RayCastStats scalar_stats, hier_stats, packet_stats;
+    std::vector<double> scalar_ranges, hier_ranges;
+    RayCastStats scalar_stats, hier_stats;
     // Warmup passes (not measured).
     for (int w = 0; w < rtr::bench::warmupRuns(); ++w) {
         sweep(RayEngine::Scalar, scalar_ranges);
         sweep(RayEngine::Hierarchical, hier_ranges);
-        sweep(RayEngine::Packet, packet_ranges);
     }
     // Best-of-N to shed scheduler noise on shared machines.
     const int reps = 5;
-    double scalar_sec = 1e300, hier_sec = 1e300, packet_sec = 1e300;
+    double scalar_sec = 1e300, hier_sec = 1e300;
     for (int r = 0; r < reps; ++r) {
         Stopwatch scalar_timer;
         sweep(RayEngine::Scalar, scalar_ranges);
@@ -409,16 +401,11 @@ writeRaycastBaseline(const std::string &path)
         Stopwatch hier_timer;
         sweep(RayEngine::Hierarchical, hier_ranges);
         hier_sec = std::min(hier_sec, hier_timer.elapsedSec());
-        Stopwatch packet_timer;
-        sweep(RayEngine::Packet, packet_ranges);
-        packet_sec = std::min(packet_sec, packet_timer.elapsedSec());
     }
     count(RayEngine::Scalar, scalar_stats);
     count(RayEngine::Hierarchical, hier_stats);
-    count(RayEngine::Packet, packet_stats);
 
-    bool identical =
-        scalar_ranges == hier_ranges && scalar_ranges == packet_ranges;
+    const bool identical = scalar_ranges == hier_ranges;
     const double rays =
         static_cast<double>(origins.size()) * n_rays;
 
@@ -450,15 +437,6 @@ writeRaycastBaseline(const std::string &path)
     json.field("steps_per_ray",
                static_cast<double>(hier_stats.steps) / rays);
     json.endObject();
-    json.beginObject("packet");
-    json.field("ns_per_ray", packet_sec * 1e9 / rays);
-    json.field("cells_per_ray",
-               static_cast<double>(packet_stats.probes) / rays);
-    json.field("steps_per_ray",
-               static_cast<double>(packet_stats.steps) / rays);
-    json.field("speedup", scalar_sec / packet_sec);
-    json.field("bitwise_identical", identical);
-    json.endObject();
     json.field("speedup", scalar_sec / hier_sec);
     json.field("bitwise_identical", identical);
     json.endObject();
@@ -472,10 +450,6 @@ writeRaycastBaseline(const std::string &path)
               << "  hier:   " << hier_sec * 1e9 / rays << " ns/ray, "
               << static_cast<double>(hier_stats.probes) / rays
               << " probes/ray\n"
-              << "  packet: " << packet_sec * 1e9 / rays << " ns/ray, "
-              << static_cast<double>(packet_stats.probes) / rays
-              << " probes/ray, " << scalar_sec / packet_sec
-              << "x vs scalar\n"
               << "  hier speedup: " << scalar_sec / hier_sec
               << "x, bitwise identical: "
               << (identical ? "yes" : "NO") << "\n"

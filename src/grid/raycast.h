@@ -8,7 +8,7 @@
  * one ray per laser beam against the map. This module is that
  * primitive.
  *
- * Three engines share one Amanatides-Woo stepping discipline:
+ * Two engines share one Amanatides-Woo stepping discipline:
  *
  *  - Scalar: probes the occupancy of every traversed cell (the
  *    pre-bitboard behaviour, kept as the identity oracle and as the
@@ -18,14 +18,8 @@
  *    stepping through the block without touching occupancy data at
  *    all. Over the mostly-empty corridor/street maps of the suite
  *    this removes an order of magnitude of cell probes per ray.
- *  - Packet: scan-level engine — rays binned by octant and traced
- *    kWidth at a time, one ray per rtr::simd::VecD lane, through the
- *    same pyramid. The per-lane DDA advance is lane-parallel
- *    (select(cmpGT) blends instead of branches) but arithmetically
- *    the exact scalar expression shapes, so it breaks the serial
- *    per-ray dependency chain without touching rounding.
  *
- * All engines execute the exact same floating-point comparisons and
+ * Both engines execute the exact same floating-point comparisons and
  * accumulations in the same order per ray, so every returned range is
  * bitwise identical between them (asserted by the fuzz suites in
  * tests/test_raycast.cpp).
@@ -51,11 +45,9 @@ enum class RayEngine
     Hierarchical,
     /** Per-cell probing of every traversed cell (identity oracle). */
     Scalar,
-    /** Octant-binned SIMD ray packets over the pyramid. */
-    Packet,
 };
 
-/** Display name ("packet" / "hier" / "scalar"). */
+/** Display name ("hier" / "scalar"). */
 const char *rayEngineName(RayEngine engine);
 
 /** Parse an engine name; returns false on anything else. */
@@ -63,16 +55,14 @@ bool parseRayEngine(std::string_view name, RayEngine &out);
 
 /**
  * Process-wide default engine: hierarchical, unless the RTR_RAYCAST
- * environment variable names another engine (read once). The packet
- * and hier engines both lose wall-clock to scalar on this host's
- * benchmark maps (EXPERIMENTS.md "Ray-cast engine" has the sweep);
- * hier remains the default because its probe elision is the quantity
- * that converts to time on the cache-constrained targets the paper
- * studies. An
- * RTR_RAYCAST value that is not 'packet', 'hier' or 'scalar' is a
- * configuration error and exits with status 2 — a silently ignored
- * typo would quietly benchmark the wrong engine. Explicit --raycast
- * flags override the default per run.
+ * environment variable names the scalar engine (read once). Hier loses
+ * wall-clock to scalar on this host's benchmark maps (EXPERIMENTS.md
+ * "Ray-cast engine" has the sweep); it remains the default because its
+ * probe elision is the quantity that converts to time on the
+ * cache-constrained targets the paper studies. An RTR_RAYCAST value
+ * that is not 'hier' or 'scalar' exits with status 2 (see
+ * util/env_engine.h). Explicit --raycast flags override the default
+ * per run.
  */
 RayEngine defaultRayEngine();
 
@@ -114,8 +104,7 @@ double castRayScalarCounted(const OccupancyGrid2D &grid, const Vec2 &origin,
  * distance per angle in [start_angle, start_angle + fov), evenly
  * spaced. @p out is cleared first (and reserved to n_rays), so callers
  * can reuse one buffer across scans without accumulating stale ranges.
- * The packet engine bins the scan's rays by octant and traces them
- * kWidth per simd::VecD; out[i] is bitwise identical across engines.
+ * out[i] is bitwise identical across engines.
  */
 void castScan(const OccupancyGrid2D &grid, const Vec2 &origin,
               double start_angle, double fov, int n_rays, double max_range,
@@ -123,11 +112,8 @@ void castScan(const OccupancyGrid2D &grid, const Vec2 &origin,
               RayEngine engine = RayEngine::Hierarchical);
 
 /**
- * castScan with traversal counters accumulated into @p stats. The
- * packet engine's counters match the hierarchical engine's exactly
- * (same steps, same probes at the same cells); this is the only
- * counted entry point that can run the packet engine, which exists at
- * scan granularity.
+ * castScan with traversal counters accumulated into @p stats: the sum
+ * of the per-ray castRayCounted / castRayScalarCounted counters.
  */
 void castScanCounted(const OccupancyGrid2D &grid, const Vec2 &origin,
                      double start_angle, double fov, int n_rays,

@@ -72,11 +72,10 @@ PflKernel::addOptions(ArgParser &parser) const
                      "Initial position uncertainty radius (m)");
     parser.addOption("seed", "1", "Random seed");
     parser.addOption("raycast", rayEngineName(defaultRayEngine()),
-                     "Ray-cast engine: packet (octant-binned SIMD "
-                     "packets), hier (pyramid empty-region skipping) or "
-                     "scalar (probe every cell); ranges and weights are "
-                     "bitwise identical across engines. Default honours "
-                     "RTR_RAYCAST");
+                     "Ray-cast engine: hier (pyramid empty-region "
+                     "skipping) or scalar (probe every cell); ranges and "
+                     "weights are bitwise identical across engines. "
+                     "Default honours RTR_RAYCAST");
     parser.addFlag("global", "Initialize uniformly over the whole map");
     addThreadsOption(parser);
     addBatchOption(parser);
@@ -120,13 +119,9 @@ PflKernel::run(const ArgParser &args) const
     ParticleFilter filter(map, n_particles);
     RayEngine ray_engine;
     if (!parseRayEngine(args.get("raycast"), ray_engine))
-        fatal("--raycast must be 'packet', 'hier' or 'scalar'");
+        fatal("--raycast must be 'hier' or 'scalar'");
     filter.setRayEngine(ray_engine);
-    // --batch / RTR_BATCH_ENGINE force one engine for both phases;
-    // otherwise each phase keeps its own default (motion SoA, weight
-    // scalar — the sensor-model SoA leg measured below 1x).
-    if (args.isSet("batch") || batchEngineOverridden())
-        filter.setBatchEngine(batchEngineFromArgs(args));
+    filter.setBatchEngine(batchEngineFromArgs(args));
     Rng filter_rng(seed);
     if (args.getFlag("global"))
         filter.initializeUniform(filter_rng);
@@ -186,27 +181,11 @@ PflKernel::run(const ArgParser &args) const
             RTR_ASSERT(fast == slow,
                        "ray-cast engines must agree bitwise");
         }
-        RayCastStats packet;
-        std::vector<double> packet_ranges;
-        castScanCounted(map, estimate.position(),
-                        estimate.theta + scans[0].start_angle,
-                        scans[0].fov, n_beams, max_range, packet_ranges,
-                        RayEngine::Packet, packet);
-        for (int b = 0; b < n_beams; ++b) {
-            double angle = estimate.theta + scans[0].start_angle +
-                           static_cast<double>(b) * beam_step;
-            RTR_ASSERT(packet_ranges[static_cast<std::size_t>(b)] ==
-                           castRay(map, estimate.position(), angle,
-                                   max_range),
-                       "packet engine must agree bitwise");
-        }
         const double rays = static_cast<double>(n_beams > 0 ? n_beams : 1);
         report.metrics["probes_per_ray_hier"] =
             static_cast<double>(hier.probes) / rays;
         report.metrics["probes_per_ray_scalar"] =
             static_cast<double>(scalar.probes) / rays;
-        report.metrics["probes_per_ray_packet"] =
-            static_cast<double>(packet.probes) / rays;
     }
     report.series["spread"] = std::move(spread_series);
     return report;

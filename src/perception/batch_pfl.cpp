@@ -13,29 +13,6 @@ namespace {
 
 constexpr std::size_t kW = VecD::kWidth;
 
-/** Verbatim weight loop of ParticleFilter::measurementUpdate. */
-void
-beamLogWeightsScalar(const double *expected, std::size_t count,
-                     std::size_t n_beams, const double *scan_ranges,
-                     const BeamSensorModel &model, double inv_sigma2,
-                     double gauss_norm, double rand_density,
-                     double *log_weights)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        const double *ranges = expected + i * n_beams;
-        double log_w = 0.0;
-        for (std::size_t b = 0; b < n_beams; ++b) {
-            double diff = scan_ranges[b] - ranges[b];
-            double density = model.z_hit * gauss_norm *
-                                 std::exp(-diff * diff * inv_sigma2) +
-                             model.z_rand * rand_density;
-            log_w += std::log(density + 1e-300);
-        }
-        log_w /= model.temperature;
-        log_weights[i] = log_w;
-    }
-}
-
 } // namespace
 
 void
@@ -97,53 +74,25 @@ void
 beamLogWeights(const double *expected, std::size_t count,
                std::size_t n_beams, const double *scan_ranges,
                const BeamSensorModel &model, double max_range,
-               double *log_weights, BatchEngine engine)
+               double *log_weights)
 {
-    // The same three constants measurementUpdate's weight phase forms.
     const double inv_sigma2 = 1.0 / (2.0 * model.sigma * model.sigma);
     const double gauss_norm = 1.0 / (model.sigma * std::sqrt(2.0 * kPi));
     const double rand_density = 1.0 / max_range;
 
-    if (engine == BatchEngine::Scalar) {
-        beamLogWeightsScalar(expected, count, n_beams, scan_ranges, model,
-                             inv_sigma2, gauss_norm, rand_density,
-                             log_weights);
-        return;
-    }
-
-    // Single multiplies the scalar expression performs left-to-right.
-    const VecD hitv = VecD::broadcast(model.z_hit * gauss_norm);
-    const VecD randv = VecD::broadcast(model.z_rand * rand_density);
-    const VecD inv2v = VecD::broadcast(inv_sigma2);
-    const VecD tinyv = VecD::broadcast(1e-300);
-    const VecD tempv = VecD::broadcast(model.temperature);
-
-    std::size_t e = 0;
-    for (; e + kW <= count; e += kW) {
-        VecD lwv = VecD::zero();
+    for (std::size_t i = 0; i < count; ++i) {
+        const double *ranges = expected + i * n_beams;
+        double log_w = 0.0;
         for (std::size_t b = 0; b < n_beams; ++b) {
-            double lane[kW];
-            for (std::size_t l = 0; l < kW; ++l)
-                lane[l] = expected[(e + l) * n_beams + b];
-            const VecD diffv =
-                VecD::broadcast(scan_ranges[b]) - VecD::load(lane);
-            // neg() is the sign-bit flip scalar -diff performs, so even
-            // a NaN range carries the same bits through both engines.
-            const VecD argv = (VecD::neg(diffv) * diffv) * inv2v;
-            argv.store(lane);
-            for (std::size_t l = 0; l < kW; ++l)
-                lane[l] = std::exp(lane[l]);
-            const VecD densv = (hitv * VecD::load(lane)) + randv;
-            (densv + tinyv).store(lane);
-            for (std::size_t l = 0; l < kW; ++l)
-                lane[l] = std::log(lane[l]);
-            lwv = lwv + VecD::load(lane);
+            double diff = scan_ranges[b] - ranges[b];
+            double density = model.z_hit * gauss_norm *
+                                 std::exp(-diff * diff * inv_sigma2) +
+                             model.z_rand * rand_density;
+            log_w += std::log(density + 1e-300);
         }
-        (lwv / tempv).store(log_weights + e);
+        log_w /= model.temperature;
+        log_weights[i] = log_w;
     }
-    beamLogWeightsScalar(expected + e * n_beams, count - e, n_beams,
-                         scan_ranges, model, inv_sigma2, gauss_norm,
-                         rand_density, log_weights + e);
 }
 
 } // namespace rtr

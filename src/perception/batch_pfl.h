@@ -4,17 +4,17 @@
  *
  * Every particle of the pfl kernel is an independent environment: the
  * odometry motion model and the beam sensor model apply the same
- * arithmetic chain to each hypothesis. The batch engine keeps particle
- * state in structure-of-arrays form and advances one simd::VecD lane
- * of particles per instruction, under the same bitwise-identity rules
- * as control/batch_env.h: no FMA, reference accumulation order per
- * particle, expression shapes mirroring the scalar source, and
- * transcendentals (cos/sin/exp/log, normalizeAngle's fmod) staying
- * scalar libm calls per lane element. Stochastic draws are staged from
- * the caller's stream in scalar order *before* any lane work — the
- * RNG staging contract — so the stream position after a batched
- * update equals the serial reference's. Remainder particles
- * (count % kWidth) finish on the scalar reference path.
+ * arithmetic chain to each hypothesis. The motion model's batch engine
+ * keeps particle state in structure-of-arrays form and advances one
+ * simd::VecD lane of particles per instruction, under the same
+ * bitwise-identity rules as control/batch_env.h: no FMA, expression
+ * shapes mirroring the scalar source, and transcendentals (cos/sin,
+ * normalizeAngle's fmod) staying scalar libm calls per lane element.
+ * Stochastic draws are staged from the caller's stream in scalar order
+ * *before* any lane work — the RNG staging contract — so the stream
+ * position after a batched update equals the serial reference's.
+ * Remainder particles (count % kWidth) finish on the scalar reference
+ * path.
  */
 
 #ifndef RTR_PERCEPTION_BATCH_PFL_H
@@ -23,7 +23,6 @@
 #include <cstddef>
 
 #include "perception/particle_filter.h"
-#include "util/batch_engine.h"
 
 namespace rtr {
 
@@ -55,15 +54,14 @@ void motionModelSoa(double *x, double *y, double *theta,
  * are stored contiguously (particle e's beams at
  * expected[e*n_beams .. e*n_beams+n_beams-1]). log_weights[e] receives
  * the tempered log-likelihood exactly as
- * ParticleFilter::measurementUpdate's weight loop computes it. The soa
- * engine evaluates beams across a lane of particles at a time (exp/log
- * scalar per lane element); the scalar engine is the verbatim
- * reference loop. Bitwise identical either way.
+ * ParticleFilter::measurementUpdate's weight phase needs it. A scalar
+ * loop: the phase is exp/log-bound, and an SoA leg measured 0.91-0.99x
+ * of it (EXPERIMENTS.md "Batched environments").
  */
 void beamLogWeights(const double *expected, std::size_t count,
                     std::size_t n_beams, const double *scan_ranges,
                     const BeamSensorModel &model, double max_range,
-                    double *log_weights, BatchEngine engine);
+                    double *log_weights);
 
 } // namespace rtr
 

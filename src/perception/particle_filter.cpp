@@ -188,9 +188,8 @@ ParticleFilter::measurementUpdate(const LaserScan &scan,
                       expected_scratch_, ray_engine_);
     }
 
-    // Score each particle's match under the beam mixture model: each
-    // chunk is one SoA batch (soa engine) or the serial reference loop
-    // (scalar engine); chunks write disjoint log_weights slots.
+    // Score each particle's match under the beam mixture model; chunks
+    // write disjoint log_weights slots.
     {
         ScopedPhase phase(profiler, "weight");
         telemetry::TraceSpan span("batch-sensor");
@@ -200,7 +199,7 @@ ParticleFilter::measurementUpdate(const LaserScan &scan,
                     expected_scratch_.data() + chunk.begin * n_beams,
                     chunk.end - chunk.begin, n_beams, scan.ranges.data(),
                     sensor_model_, scan.max_range,
-                    log_weights.data() + chunk.begin, weight_engine_);
+                    log_weights.data() + chunk.begin);
             });
     }
     rays_cast_ += n_beams * n_particles;

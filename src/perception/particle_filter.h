@@ -127,45 +127,24 @@ class ParticleFilter
     /**
      * Select the occupancy-query engine for measurement updates. The
      * default comes from defaultRayEngine() (hier, or the RTR_RAYCAST
-     * override); packet traces octant-binned SIMD ray packets through
-     * the same pyramid, and scalar probes every traversed cell (the
-     * paper-faithful cost profile). Ranges, and therefore weights, are
-     * bitwise identical under every engine.
+     * override); scalar probes every traversed cell (the paper-faithful
+     * cost profile). Ranges, and therefore weights, are bitwise
+     * identical under both engines.
      */
     void setRayEngine(RayEngine engine) { ray_engine_ = engine; }
 
     RayEngine rayEngine() const { return ray_engine_; }
 
     /**
-     * Select the batched-model engine for *both* the motion and weight
-     * updates: soa advances simd::VecD lanes of particles in lockstep
-     * through perception/batch_pfl.h, scalar runs the serial reference
-     * loops. Poses and weights are bitwise identical either way (the
-     * noise draws are staged from the caller's stream in scalar order
-     * under both engines — DESIGN.md "Batched environments").
-     *
-     * This is the full-override entry point (--batch /
-     * RTR_BATCH_ENGINE). Left alone, the phases pick their own
-     * defaults: motion is SoA, weight is scalar (the sensor-model leg
-     * is exp/log-bound and measured 0.92-0.94x under SoA — see
-     * defaultPflWeightEngine()).
+     * Select the batched-model engine of the motion update: soa
+     * advances simd::VecD lanes of particles in lockstep through
+     * perception/batch_pfl.h, scalar runs the serial reference loop.
+     * Poses are bitwise identical either way (the noise draws are
+     * staged from the caller's stream in scalar order under both
+     * engines — DESIGN.md "Batched environments"). The weight update
+     * has one engine, the scalar beam-model loop.
      */
-    void
-    setBatchEngine(BatchEngine engine)
-    {
-        motion_engine_ = engine;
-        weight_engine_ = engine;
-    }
-
-    /** Engine of the motion phase alone. */
-    void setMotionEngine(BatchEngine engine) { motion_engine_ = engine; }
-
-    /** Engine of the weight (sensor-model) phase alone. */
-    void setWeightEngine(BatchEngine engine) { weight_engine_ = engine; }
-
-    BatchEngine motionEngine() const { return motion_engine_; }
-
-    BatchEngine weightEngine() const { return weight_engine_; }
+    void setBatchEngine(BatchEngine engine) { motion_engine_ = engine; }
 
     /**
      * Low-variance resampling ("resample" phase). A small fraction of
@@ -224,7 +203,6 @@ class ParticleFilter
     std::vector<Particle> particles_;
     RayEngine ray_engine_ = defaultRayEngine();
     BatchEngine motion_engine_ = defaultBatchEngine();
-    BatchEngine weight_engine_ = defaultPflWeightEngine();
     std::size_t rays_cast_ = 0;
     double random_injection_ = 0.02;
 

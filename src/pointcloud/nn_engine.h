@@ -20,8 +20,9 @@
 #ifndef RTR_POINTCLOUD_NN_ENGINE_H
 #define RTR_POINTCLOUD_NN_ENGINE_H
 
-#include <cstdlib>
 #include <string_view>
+
+#include "util/env_engine.h"
 
 namespace rtr {
 
@@ -56,19 +57,15 @@ parseNnEngine(std::string_view name, NnEngine &out)
 
 /**
  * Process-wide default engine: bucket, unless RTR_NN_ENGINE=node is set
- * in the environment (read once). Config structs capture this default
- * at construction; explicit --nn flags override it per kernel run.
+ * in the environment (read once; an unknown value exits with status 2,
+ * see util/env_engine.h). Config structs capture this default at
+ * construction; explicit --nn flags override it per kernel run.
  */
 inline NnEngine
 defaultNnEngine()
 {
-    static const NnEngine def = [] {
-        const char *env = std::getenv("RTR_NN_ENGINE");
-        NnEngine parsed = NnEngine::Bucket;
-        if (env)
-            parseNnEngine(env, parsed);
-        return parsed;
-    }();
+    static const NnEngine def = engineFromEnv(
+        "RTR_NN_ENGINE", NnEngine::Bucket, parseNnEngine, "bucket or node");
     return def;
 }
 

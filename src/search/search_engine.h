@@ -26,10 +26,10 @@
 #ifndef RTR_SEARCH_SEARCH_ENGINE_H
 #define RTR_SEARCH_SEARCH_ENGINE_H
 
-#include <cstdint>
-#include <cstdlib>
-#include <iostream>
+#include <cstddef>
 #include <string_view>
+
+#include "util/env_engine.h"
 
 namespace rtr {
 
@@ -64,28 +64,15 @@ parseSearchEngine(std::string_view name, SearchEngine &out)
 
 /**
  * Process-wide default engine: flat, unless RTR_SEARCH overrides
- * (read once). An unparseable value exits with status 2 (a
- * configuration error, not a runtime failure — a silently ignored typo
- * would quietly benchmark the wrong engine), matching the RTR_RAYCAST
- * convention. Config structs and planner constructors capture this
- * default; explicit --search flags override it per run.
+ * (read once; an unknown value exits with status 2, see
+ * util/env_engine.h). Config structs and planner constructors capture
+ * this default; explicit --search flags override it per run.
  */
 inline SearchEngine
 defaultSearchEngine()
 {
-    static const SearchEngine engine = [] {
-        const char *env = std::getenv("RTR_SEARCH");
-        if (env == nullptr || *env == '\0')
-            return SearchEngine::Flat;
-        SearchEngine parsed;
-        if (!parseSearchEngine(env, parsed)) {
-            std::cerr << "RTR_SEARCH=" << env
-                      << " is not a search engine (expected flat or "
-                         "heap)\n";
-            std::exit(2);
-        }
-        return parsed;
-    }();
+    static const SearchEngine engine = engineFromEnv(
+        "RTR_SEARCH", SearchEngine::Flat, parseSearchEngine, "flat or heap");
     return engine;
 }
 

@@ -2,8 +2,9 @@
  * @file
  * Runtime selection of the batched-environment engine.
  *
- * Two engines implement the Monte-Carlo rollout/particle updates of the
- * cem, mpc, bo and pfl kernels (DESIGN.md "Batched environments"):
+ * Two engines implement the Monte-Carlo rollouts of the cem, mpc and bo
+ * kernels and the pfl motion update (DESIGN.md "Batched
+ * environments"); pfl's beam sensor model has the scalar loop only:
  *
  *   soa     structure-of-arrays batch: one contiguous array per state
  *           component, simd::VecD lanes advancing kWidth environments
@@ -11,7 +12,7 @@
  *   scalar  one environment at a time — the preserved reference path.
  *
  * Both produce bitwise-identical rewards, traces, states and particle
- * weights at every environment count and thread count, so the switch is
+ * poses at every environment count and thread count, so the switch is
  * a pure performance A/B: kernels expose it as --batch {soa,scalar} in
  * the same style as --nn/--raycast/--simd, and the RTR_BATCH_ENGINE
  * environment variable flips the default so the full test suite can run
@@ -21,8 +22,9 @@
 #ifndef RTR_UTIL_BATCH_ENGINE_H
 #define RTR_UTIL_BATCH_ENGINE_H
 
-#include <cstdlib>
 #include <string_view>
+
+#include "util/env_engine.h"
 
 namespace rtr {
 
@@ -57,53 +59,17 @@ parseBatchEngine(std::string_view name, BatchEngine &out)
 
 /**
  * Process-wide default engine: soa, unless RTR_BATCH_ENGINE=scalar is
- * set in the environment (read once). Config structs capture this
- * default at construction; explicit --batch flags override it per run.
+ * set in the environment (read once; an unknown value exits with
+ * status 2, see util/env_engine.h). Config structs capture this default
+ * at construction; explicit --batch flags override it per run.
  */
 inline BatchEngine
 defaultBatchEngine()
 {
-    static const BatchEngine def = [] {
-        const char *env = std::getenv("RTR_BATCH_ENGINE");
-        BatchEngine parsed = BatchEngine::Soa;
-        if (env)
-            parseBatchEngine(env, parsed);
-        return parsed;
-    }();
+    static const BatchEngine def = engineFromEnv(
+        "RTR_BATCH_ENGINE", BatchEngine::Soa, parseBatchEngine,
+        "soa or scalar");
     return def;
-}
-
-/**
- * Whether RTR_BATCH_ENGINE names a valid engine — i.e. the user asked
- * for one engine *everywhere*. Per-phase defaults (see
- * defaultPflWeightEngine) yield to this, exactly like an explicit
- * --batch flag, so the check.sh batch-scalar leg and A/B runs still
- * pin every phase to one engine.
- */
-inline bool
-batchEngineOverridden()
-{
-    static const bool overridden = [] {
-        const char *env = std::getenv("RTR_BATCH_ENGINE");
-        BatchEngine parsed = BatchEngine::Soa;
-        return env != nullptr && parseBatchEngine(env, parsed);
-    }();
-    return overridden;
-}
-
-/**
- * Default engine for the pfl *weight* (beam sensor-model) phase:
- * scalar, unless RTR_BATCH_ENGINE overrides. The SoA leg of this phase
- * measured 0.92-0.94x — it is exp/log-bound, and the lane shuffle
- * costs more than the vectorization buys (EXPERIMENTS.md "Batched
- * rollouts") — so unlike the motion phase it defaults to the
- * reference loop.
- */
-inline BatchEngine
-defaultPflWeightEngine()
-{
-    return batchEngineOverridden() ? defaultBatchEngine()
-                                   : BatchEngine::Scalar;
 }
 
 } // namespace rtr

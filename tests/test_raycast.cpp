@@ -14,7 +14,6 @@
 #include "grid/raycast.h"
 #include "util/parallel.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace rtr {
 namespace {
@@ -254,147 +253,47 @@ TEST(RaycastHier, TracksDynamicEdits)
     }
 }
 
-/**
- * Packet-engine contract: a castScan through RayEngine::Packet must be
- * bitwise identical (memcmp) to the scalar engine's scan for the same
- * inputs — fuzzed over the same densities as the hier suite, with
- * origins free, occupied, and outside the map.
- */
-class RaycastPacketFuzz : public ::testing::TestWithParam<double>
+TEST(RaycastHier, ScanCountersEqualSumOfPerRayCounters)
 {
-};
-
-TEST_P(RaycastPacketFuzz, ScanBitwiseIdenticalToScalarAcrossDensities)
-{
-    const double density = GetParam();
-    Rng rng(static_cast<std::uint64_t>(density * 1000.0) + 17);
-    std::vector<double> packet, scalar, hier;
-    for (std::uint64_t map_seed = 1; map_seed <= 3; ++map_seed) {
-        OccupancyGrid2D grid =
-            makeRandomObstacleMap(96, 64, density, map_seed);
-        for (int i = 0; i < 40; ++i) {
-            Vec2 origin{rng.uniform(-2.0, 98.0), rng.uniform(-2.0, 66.0)};
-            double start = rng.uniform(-kPi, kPi);
-            double fov = rng.uniform(0.2, kTwoPi);
-            double max_range = rng.uniform(0.5, 140.0);
-            int n_rays = 1 + static_cast<int>(rng.index(96));
-            castScan(grid, origin, start, fov, n_rays, max_range, packet,
-                     RayEngine::Packet);
-            castScan(grid, origin, start, fov, n_rays, max_range, scalar,
-                     RayEngine::Scalar);
-            castScan(grid, origin, start, fov, n_rays, max_range, hier,
-                     RayEngine::Hierarchical);
-            ASSERT_EQ(packet.size(), scalar.size());
-            EXPECT_EQ(0, std::memcmp(packet.data(), scalar.data(),
-                                     packet.size() * sizeof(double)))
-                << "origin (" << origin.x << "," << origin.y
-                << ") start " << start << " fov " << fov << " n_rays "
-                << n_rays << " density " << density << " seed "
-                << map_seed;
-            EXPECT_EQ(0, std::memcmp(packet.data(), hier.data(),
-                                     packet.size() * sizeof(double)));
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Densities, RaycastPacketFuzz,
-                         ::testing::Values(0.0, 0.02, 0.15, 0.45));
-
-TEST(RaycastPacket, OctantBoundaryRaysMatchScalar)
-{
-    // Axis-aligned and exact-45° rays sit on the octant-binning
-    // boundaries and on DDA tie-breaks; sweep scans whose beams land
-    // exactly on those directions from cell corners and cell centers.
-    OccupancyGrid2D grid = boxWorld();
-    std::vector<double> packet, scalar;
-    const double starts[] = {0.0, kPi / 4.0, kPi / 2.0, -3 * kPi / 4.0};
-    for (double start : starts) {
-        for (int n_rays : {4, 8, 16}) {
-            // fov = 2*pi with n_rays dividing 8 puts every beam on an
-            // axis or diagonal.
-            for (Vec2 origin : {Vec2{5.0, 9.0}, Vec2{5.5, 9.5}}) {
-                castScan(grid, origin, start, kTwoPi, n_rays, 50.0,
-                         packet, RayEngine::Packet);
-                castScan(grid, origin, start, kTwoPi, n_rays, 50.0,
-                         scalar, RayEngine::Scalar);
-                EXPECT_EQ(0, std::memcmp(packet.data(), scalar.data(),
-                                         packet.size() * sizeof(double)))
-                    << "start " << start << " n_rays " << n_rays;
-            }
-        }
-    }
-}
-
-TEST(RaycastPacket, RemainderLaneScanSizesMatchScalar)
-{
-    // Scan sizes 1 .. 2*kWidth+1 exercise every packet/remainder split
-    // around the lane width.
-    OccupancyGrid2D grid = makeRandomObstacleMap(64, 48, 0.1, 21);
-    std::vector<double> packet, scalar;
-    constexpr int kW = static_cast<int>(simd::VecD::kWidth);
-    Rng rng(77);
-    for (int n_rays = 1; n_rays <= 2 * kW + 1; ++n_rays) {
-        for (int rep = 0; rep < 8; ++rep) {
-            Vec2 origin{rng.uniform(1.0, 63.0), rng.uniform(1.0, 47.0)};
-            double start = rng.uniform(-kPi, kPi);
-            castScan(grid, origin, start, 4.0, n_rays, 40.0, packet,
-                     RayEngine::Packet);
-            castScan(grid, origin, start, 4.0, n_rays, 40.0, scalar,
-                     RayEngine::Scalar);
-            ASSERT_EQ(packet.size(), static_cast<std::size_t>(n_rays));
-            EXPECT_EQ(0, std::memcmp(packet.data(), scalar.data(),
-                                     packet.size() * sizeof(double)))
-                << "n_rays " << n_rays << " rep " << rep;
-        }
-    }
-}
-
-TEST(RaycastPacket, OccupiedAndOutOfBoundsOriginsRetireAtZero)
-{
-    OccupancyGrid2D grid = boxWorld();
-    std::vector<double> packet, scalar;
-    // Origins inside the block, inside walls, and outside the map: all
-    // rays must come back 0.0 from both engines.
-    for (Vec2 origin : {Vec2{11.0, 9.0}, Vec2{0.5, 0.5}, Vec2{-3.0, 5.0},
-                        Vec2{25.0, 25.0}}) {
-        castScan(grid, origin, -kPi, kTwoPi, 16, 30.0, packet,
-                 RayEngine::Packet);
-        castScan(grid, origin, -kPi, kTwoPi, 16, 30.0, scalar,
-                 RayEngine::Scalar);
-        EXPECT_EQ(0, std::memcmp(packet.data(), scalar.data(),
-                                 packet.size() * sizeof(double)));
-        for (double r : packet)
-            EXPECT_EQ(r, 0.0);
-    }
-}
-
-TEST(RaycastPacket, CountersMatchHierEngine)
-{
-    // The packet engine performs the hier engine's probes at the same
-    // cells and the same per-ray step count, so the scan totals must
-    // agree exactly.
+    // castScanCounted adds up exactly the counters of its rays: the
+    // per-ray castRayCounted / castRayScalarCounted totals.
     OccupancyGrid2D grid = makeIndoorMap(120, 80, 0.25, 3);
-    RayCastStats packet_stats, hier_stats;
-    std::vector<double> packet, hier;
-    castScanCounted(grid, {15.0, 10.0}, -2.0, 4.0, 60, 20.0, packet,
-                    RayEngine::Packet, packet_stats);
-    castScanCounted(grid, {15.0, 10.0}, -2.0, 4.0, 60, 20.0, hier,
-                    RayEngine::Hierarchical, hier_stats);
-    EXPECT_EQ(0, std::memcmp(packet.data(), hier.data(),
-                             packet.size() * sizeof(double)));
-    EXPECT_EQ(packet_stats.steps, hier_stats.steps);
-    EXPECT_EQ(packet_stats.probes, hier_stats.probes);
+    const Vec2 origin{15.0, 10.0};
+    const int n_rays = 60;
+    const double start = -2.0, fov = 4.0, max_range = 20.0;
+    const double step = fov / n_rays;
+    for (RayEngine engine : {RayEngine::Hierarchical, RayEngine::Scalar}) {
+        RayCastStats scan_stats, ray_stats;
+        std::vector<double> scan;
+        castScanCounted(grid, origin, start, fov, n_rays, max_range, scan,
+                        engine, scan_stats);
+        ASSERT_EQ(scan.size(), static_cast<std::size_t>(n_rays));
+        for (int i = 0; i < n_rays; ++i) {
+            const double angle = start + i * step;
+            const double range =
+                engine == RayEngine::Hierarchical
+                    ? castRayCounted(grid, origin, angle, max_range,
+                                     ray_stats)
+                    : castRayScalarCounted(grid, origin, angle, max_range,
+                                           ray_stats);
+            EXPECT_EQ(scan[static_cast<std::size_t>(i)], range);
+        }
+        EXPECT_EQ(scan_stats.steps, ray_stats.steps)
+            << rayEngineName(engine);
+        EXPECT_EQ(scan_stats.probes, ray_stats.probes)
+            << rayEngineName(engine);
+    }
 }
 
-TEST(RaycastPacket, TracksInterleavedApplyEditsBatches)
+TEST(RaycastHier, TracksInterleavedApplyEditsBatches)
 {
-    // Batched edits (applyEdits) interleaved with packet scans: after
-    // every batch the packet engine must match the scalar engine on a
+    // Batched edits (applyEdits) interleaved with hier scans: after
+    // every batch the hier engine must match the scalar engine on a
     // twin grid maintained by sequential setOccupied calls.
     OccupancyGrid2D grid(100, 70, 0.5);
     OccupancyGrid2D twin(100, 70, 0.5);
     Rng rng(53);
-    std::vector<double> packet, scalar;
+    std::vector<double> hier, scalar;
     std::vector<CellEdit> edits;
     for (int round = 0; round < 30; ++round) {
         edits.clear();
@@ -411,19 +310,21 @@ TEST(RaycastPacket, TracksInterleavedApplyEditsBatches)
         for (int i = 0; i < 10; ++i) {
             Vec2 origin{rng.uniform(0.0, 50.0), rng.uniform(0.0, 35.0)};
             double start = rng.uniform(-kPi, kPi);
-            castScan(grid, origin, start, 3.0, 24, 60.0, packet,
-                     RayEngine::Packet);
+            castScan(grid, origin, start, 3.0, 24, 60.0, hier,
+                     RayEngine::Hierarchical);
             castScan(twin, origin, start, 3.0, 24, 60.0, scalar,
                      RayEngine::Scalar);
-            EXPECT_EQ(0, std::memcmp(packet.data(), scalar.data(),
-                                     packet.size() * sizeof(double)))
+            EXPECT_EQ(0, std::memcmp(hier.data(), scalar.data(),
+                                     hier.size() * sizeof(double)))
                 << "round " << round;
         }
     }
 }
 
-TEST(RaycastPacket, BatchBitwiseIdenticalAcrossThreadCountsAndEngines)
+TEST(CastScanBatch, BitwiseIdenticalAcrossThreadCountsAndEngines)
 {
+    // The pfl ray path: castScanBatch under both engines, at 1, 2 and
+    // all threads, against per-ray scalar casts made serially.
     OccupancyGrid2D grid = makeIndoorMap(120, 80, 0.25, 5);
     Rng rng(19);
     std::vector<Pose2> poses;
@@ -433,19 +334,29 @@ TEST(RaycastPacket, BatchBitwiseIdenticalAcrossThreadCountsAndEngines)
         if (!grid.occupiedWorld(pose.position()))
             poses.push_back(pose);
     }
+    const int n_beams = 32;
+    const double beam_step = 4.0 / n_beams;
     std::vector<double> reference;
-    castScanBatch(grid, poses, -2.0, 4.0, 32, 12.0, reference,
-                  RayEngine::Scalar);
+    for (const Pose2 &pose : poses) {
+        for (int b = 0; b < n_beams; ++b)
+            reference.push_back(castRayScalar(
+                grid, pose.position(), pose.theta - 2.0 + b * beam_step,
+                12.0));
+    }
     for (std::size_t threads : {std::size_t{1}, std::size_t{2},
                                 std::size_t{0}}) {
         setParallelThreads(threads);
-        std::vector<double> packet;
-        castScanBatch(grid, poses, -2.0, 4.0, 32, 12.0, packet,
-                      RayEngine::Packet);
-        ASSERT_EQ(packet.size(), reference.size());
-        EXPECT_EQ(0, std::memcmp(packet.data(), reference.data(),
-                                 packet.size() * sizeof(double)))
-            << "threads " << threads;
+        for (RayEngine engine :
+             {RayEngine::Hierarchical, RayEngine::Scalar}) {
+            std::vector<double> batch;
+            castScanBatch(grid, poses, -2.0, 4.0, n_beams, 12.0, batch,
+                          engine);
+            ASSERT_EQ(batch.size(), reference.size());
+            EXPECT_EQ(0, std::memcmp(batch.data(), reference.data(),
+                                     batch.size() * sizeof(double)))
+                << "threads " << threads << " engine "
+                << rayEngineName(engine);
+        }
     }
     setParallelThreads(0);
 }
@@ -453,15 +364,13 @@ TEST(RaycastPacket, BatchBitwiseIdenticalAcrossThreadCountsAndEngines)
 TEST(RayEngineSelection, NamesRoundTripAndRejectUnknown)
 {
     RayEngine engine;
-    ASSERT_TRUE(parseRayEngine("packet", engine));
-    EXPECT_EQ(engine, RayEngine::Packet);
     ASSERT_TRUE(parseRayEngine("hier", engine));
     EXPECT_EQ(engine, RayEngine::Hierarchical);
     ASSERT_TRUE(parseRayEngine("scalar", engine));
     EXPECT_EQ(engine, RayEngine::Scalar);
+    EXPECT_FALSE(parseRayEngine("packet", engine));
     EXPECT_FALSE(parseRayEngine("vector", engine));
     EXPECT_FALSE(parseRayEngine("", engine));
-    EXPECT_STREQ(rayEngineName(RayEngine::Packet), "packet");
     EXPECT_STREQ(rayEngineName(RayEngine::Hierarchical), "hier");
     EXPECT_STREQ(rayEngineName(RayEngine::Scalar), "scalar");
 }
