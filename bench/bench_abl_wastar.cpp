@@ -8,8 +8,7 @@
  * sizes and health counters — faster.
  *
  * Every timed configuration asserts full result identity across the
- * engines (and across open-list arities 2/4/8) and the binary exits 2
- * on any divergence, like `bench_abl_raycast`. `--json [path]` writes
+ * engines and the binary exits 2 on any divergence. `--json [path]` writes
  * BENCH_search.json (default path) so EXPERIMENTS.md tracks measured
  * numbers.
  */
@@ -70,16 +69,8 @@ struct EpsilonRow
     bool identical = true;
 };
 
-struct ArityRow
-{
-    int arity = 4;
-    double ms = 0.0;
-    bool identical = true;
-};
-
 void
-writeJson(const std::string &path, const std::vector<EpsilonRow> &rows,
-          const std::vector<ArityRow> &arities)
+writeJson(const std::string &path, const std::vector<EpsilonRow> &rows)
 {
     std::ofstream file(path);
     if (!file) {
@@ -104,15 +95,6 @@ writeJson(const std::string &path, const std::vector<EpsilonRow> &rows,
         json.field("heap_ms", row.heap_ms);
         json.field("flat_ms", row.flat_ms);
         json.field("speedup", row.heap_ms / row.flat_ms);
-        json.field("identical", row.identical);
-        json.endObject();
-    }
-    json.endArray();
-    json.beginArray("open_list_arity");
-    for (const ArityRow &row : arities) {
-        json.beginObject();
-        json.field("arity", row.arity);
-        json.field("ms", row.ms);
         json.field("identical", row.identical);
         json.endObject();
     }
@@ -158,7 +140,7 @@ main(int argc, char **argv)
 
     GridPlan2D optimal = heap_planner.plan(start, goal, 1.0);
 
-    // ---- Sweep A: epsilon x engine ----
+    // ---- Epsilon x engine ----
     std::vector<EpsilonRow> rows;
     Table table({"epsilon", "expanded", "peak open", "stale pops",
                  "reopen skips", "cost / optimal", "bound", "heap (ms)",
@@ -195,37 +177,9 @@ main(int argc, char **argv)
     }
     table.print();
 
-    // ---- Sweep B: open-list arity (flat engine, epsilon = 1) ----
-    // The d-ary ablation: wider nodes mean shallower sift-up paths but
-    // more comparisons per sift-down level; 4 is the cache-line sweet
-    // spot this bench exists to verify.
-    std::cout << "\n";
-    std::vector<ArityRow> arities;
-    Table arity_table({"arity", "time (ms)", "vs arity 4", "identical"});
-    double arity4_ms = 0.0;
-    for (int arity : {2, 4, 8}) {
-        GridPlan2D plan;
-        ArityRow row;
-        row.arity = arity;
-        row.ms = 1e3 * bestOf(5, [&] {
-            plan = flat_planner.planWithArity(start, goal, 1.0, arity);
-        });
-        row.identical = plansIdentical(plan, optimal);
-        g_identical = g_identical && row.identical;
-        if (arity == 4)
-            arity4_ms = row.ms;
-        arities.push_back(row);
-    }
-    for (const ArityRow &row : arities)
-        arity_table.addRow({std::to_string(row.arity),
-                            Table::num(row.ms, 2),
-                            Table::num(row.ms / arity4_ms, 2) + "x",
-                            row.identical ? "yes" : "NO"});
-    arity_table.print();
-
-    std::cout << "\nbitwise identical across engines and arities: "
+    std::cout << "\nbitwise identical across engines: "
               << (g_identical ? "yes" : "NO") << "\n";
     if (!json_path.empty())
-        writeJson(json_path, rows, arities);
+        writeJson(json_path, rows);
     return g_identical ? 0 : 2;
 }

@@ -12,7 +12,8 @@
  *     environment-count sweep 64..8192 — the scaling curve of
  *     SIMD-across-environments;
  *  2. end-to-end: the four kernels under --batch soa vs --batch
- *     scalar, ROI seconds and output-metric identity.
+ *     scalar, best-of-5 ROI seconds with the median and max, and
+ *     output-metric identity.
  *
  * Both engines are bitwise identical by contract; the bench asserts
  * this on every micro workload and every kernel output and exits 2 on
@@ -172,14 +173,32 @@ microAt(std::size_t n, Rng &rng)
     return res;
 }
 
+/** ROI seconds of one kernel configuration over repeated runs. */
+struct RoiSpread
+{
+    double min_s = 0.0;
+    double median_s = 0.0;
+    double max_s = 0.0;
+};
+
 /** End-to-end: one kernel under --batch soa vs --batch scalar. */
 struct E2eResult
 {
     std::string kernel;
-    double soa_roi_s = 0.0;
-    double scalar_roi_s = 0.0;
+    RoiSpread soa;
+    RoiSpread scalar;
     bool identical = true;
 };
+
+/** Measured runs per engine in the end-to-end rows (after one warmup). */
+constexpr int kE2eReps = 5;
+
+RoiSpread
+spreadOf(const std::vector<double> &roi)
+{
+    return RoiSpread{quantile(roi, 0.0), quantile(roi, 0.5),
+                     quantile(roi, 1.0)};
+}
 
 /**
  * Kernel-output metrics that must be engine-independent. Timing
@@ -219,10 +238,19 @@ e2eKernel(const E2eRow &row)
     std::vector<std::string> scalar_args = row.overrides;
     scalar_args.insert(scalar_args.end(), {"--batch", "scalar"});
 
-    const KernelReport soa = runKernelWarm(row.kernel, soa_args);
-    const KernelReport scalar = runKernelWarm(row.kernel, scalar_args);
-    res.soa_roi_s = soa.roi_seconds;
-    res.scalar_roi_s = scalar.roi_seconds;
+    // The engines alternate run by run, so drift on a shared host hits
+    // both alike; best-of-N with the spread, as the micro rows time.
+    KernelReport soa, scalar;
+    std::vector<double> soa_roi, scalar_roi;
+    for (int r = 0; r < kE2eReps; ++r) {
+        const int warmup = r == 0 ? warmupRuns() : 0;
+        soa = runKernelWarm(row.kernel, soa_args, warmup);
+        scalar = runKernelWarm(row.kernel, scalar_args, warmup);
+        soa_roi.push_back(soa.roi_seconds);
+        scalar_roi.push_back(scalar.roi_seconds);
+    }
+    res.soa = spreadOf(soa_roi);
+    res.scalar = spreadOf(scalar_roi);
     for (const std::string &m : kOutputMetrics) {
         const bool in_soa = soa.metrics.count(m) != 0;
         const bool in_scalar = scalar.metrics.count(m) != 0;
@@ -277,9 +305,14 @@ writeJson(const std::string &path, const std::vector<MicroResult> &micro,
     for (const E2eResult &r : e2e) {
         json.beginObject();
         json.field("kernel", r.kernel);
-        json.field("soa_roi_seconds", r.soa_roi_s);
-        json.field("scalar_roi_seconds", r.scalar_roi_s);
-        json.field("speedup", r.scalar_roi_s / r.soa_roi_s);
+        json.field("runs_per_engine", static_cast<long long>(kE2eReps));
+        json.field("soa_roi_seconds", r.soa.min_s);
+        json.field("soa_roi_median_seconds", r.soa.median_s);
+        json.field("soa_roi_max_seconds", r.soa.max_s);
+        json.field("scalar_roi_seconds", r.scalar.min_s);
+        json.field("scalar_roi_median_seconds", r.scalar.median_s);
+        json.field("scalar_roi_max_seconds", r.scalar.max_s);
+        json.field("speedup", r.scalar.min_s / r.soa.min_s);
         json.field("outputs_identical", r.identical);
         json.endObject();
     }
@@ -346,17 +379,22 @@ main(int argc, char **argv)
     scaling.print();
 
     std::cout << "\n[2] end-to-end: kernels under --batch soa vs "
-                 "--batch scalar\n";
-    Table e2e_table({"kernel", "scalar ROI s", "soa ROI s", "speedup",
+                 "--batch scalar, "
+              << kE2eReps << " alternating runs each\n";
+    Table e2e_table({"kernel", "scalar ROI s min/med/max",
+                     "soa ROI s min/med/max", "speedup (min)",
                      "outputs identical"});
     std::vector<E2eResult> e2e;
     for (const E2eRow &row : kE2eRows) {
         E2eResult r = e2eKernel(row);
         e2e.push_back(r);
         all_identical = all_identical && r.identical;
-        e2e_table.addRow({r.kernel, Table::num(r.scalar_roi_s, 3),
-                          Table::num(r.soa_roi_s, 3),
-                          Table::num(r.scalar_roi_s / r.soa_roi_s, 2) +
+        auto spread = [](const RoiSpread &x) {
+            return Table::num(x.min_s, 3) + "/" + Table::num(x.median_s, 3) +
+                   "/" + Table::num(x.max_s, 3);
+        };
+        e2e_table.addRow({r.kernel, spread(r.scalar), spread(r.soa),
+                          Table::num(r.scalar.min_s / r.soa.min_s, 2) +
                               "x",
                           r.identical ? "yes" : "NO"});
     }

@@ -18,8 +18,9 @@
 # release build tree. The batch-scalar variant does the same with
 # RTR_BATCH_ENGINE=scalar, keeping the reference rollout engine (the
 # default is the SoA batch engine) green. The search-heap variant runs
-# the reference graph-search engine (the default is the flat
-# SoA + d-ary one): the full suite with RTR_SEARCH=heap in the Release
+# every search on the reference node stores and binary open list (the
+# default is the flat workspaces + 4-ary heap; both drive the same
+# best-first loop): the full suite with RTR_SEARCH=heap in the Release
 # tree, plus the search-touching service/thread suites in the TSan
 # tree, since the service workers plan concurrently whichever engine
 # is selected. The service variant smokes

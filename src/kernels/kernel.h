@@ -86,12 +86,13 @@ BatchEngine batchEngineFromArgs(const ArgParser &args);
 
 /**
  * Register the standard --search option shared by the graph-search-bound
- * kernels (pp2d, pp3d, prm, movtar): "flat" = SoA node pools +
- * epoch-stamped closed sets + 4-ary open list (the default), "heap" =
- * the preserved binary-MinHeap reference. Paths, costs, expansions and
- * open-list statistics are identical either way (DESIGN.md "Graph
- * search engine"); the switch exists for engine A/B timing on one
- * binary. RTR_SEARCH flips the default process-wide.
+ * kernels (pp2d, pp3d, prm, movtar). It picks the node store and open
+ * list of the one best-first loop: "flat" = reusable epoch-stamped
+ * workspaces + 4-ary open list (the default), "heap" = the reference
+ * per-query stores + binary open list. Paths, costs, expansions and
+ * open-list statistics are identical either way (DESIGN.md
+ * "Graph-search engine"); the switch exists for engine A/B timing on
+ * one binary. RTR_SEARCH flips the default process-wide.
  */
 void addSearchOption(ArgParser &parser);
 

@@ -35,11 +35,12 @@ runSymbolic(const SymbolicProblem &problem, const ArgParser &args)
     // Node expansion (applicability tests, effect application) and the
     // heuristic's relaxed-reachability fixpoint are both set/string
     // manipulation over the node's atoms — together they are the
-    // paper's "graph search, string manipulation" bottleneck. "expand"
-    // includes the nested heuristic evaluations.
+    // paper's "graph search, string manipulation" bottleneck. The two
+    // phases are disjoint (the search evaluates heuristics after
+    // generating a node's successors), so their shares add.
     double expand = report.phaseFraction("expand");
     double heuristic = report.phaseFraction("heuristic");
-    report.metrics["string_ops_fraction"] = std::max(expand, heuristic);
+    report.metrics["string_ops_fraction"] = expand + heuristic;
     report.metrics["heuristic_fraction"] = heuristic;
     report.metrics["plan_length"] = result.cost;
     report.metrics["expanded"] = static_cast<double>(result.expanded);

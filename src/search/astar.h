@@ -2,16 +2,16 @@
  * @file
  * Generic (weighted) A* over implicit graphs.
  *
- * Shared by the symbolic planner and any search whose states are not
+ * Used by the symbolic planner and any search whose states are not
  * dense integers. Dense grid searches use the specialized planners in
- * grid_planner2d/3d.h instead.
+ * grid_planner2d/3d.h instead; all of them run the same loop
+ * (search/best_first.h).
  *
- * Both search engines are available (--search): states are interned
- * into a dense id space as discovered either way (generic states need
- * hashing), but the flat engine keeps per-node data in SoA vectors and
- * pops from a 4-ary open list, while the heap engine is the reference
- * AoS NodeInfo + binary MinHeap pair. The shared strict (key, id)
- * order makes the two produce identical expansions, paths and stats.
+ * States are interned into a dense id space as they are discovered
+ * (generic states need hashing), and the open list orders those ids.
+ * The search engine (--search) picks the node store and open list:
+ * SearchWorkspace + 4-ary heap (flat) or per-query vectors + binary
+ * heap (heap), with identical expansions, paths and stats.
  */
 
 #ifndef RTR_SEARCH_ASTAR_H
@@ -22,8 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "search/dary_heap.h"
-#include "search/min_heap.h"
+#include "search/best_first.h"
 #include "search/search_engine.h"
 
 namespace rtr {
@@ -68,135 +67,6 @@ struct AStarProblem
     SearchEngine search_engine = defaultSearchEngine();
 };
 
-namespace detail {
-
-/**
- * The engine-generic expansion loop: @p Open is MinHeap (heap engine)
- * or DaryHeap (flat engine); @p NodeData abstracts AoS NodeInfo vs SoA
- * vectors behind g/parent/closed accessors.
- */
-template <typename State, typename Open, typename NodeData,
-          typename Intern>
-AStarResult<State>
-astarRun(const State &start, const AStarProblem<State> &problem,
-         const std::vector<State> &states, NodeData &nodes, Open &open,
-         Intern &&intern)
-{
-    constexpr std::uint32_t kNoParent = 0xFFFFFFFF;
-    AStarResult<State> result;
-
-    std::uint32_t start_id = intern(start);
-    nodes.setG(start_id, 0.0);
-    open.push(problem.epsilon * problem.heuristic(start), start_id);
-    result.peak_open = open.size();
-
-    std::vector<std::pair<State, double>> succ;
-    while (!open.empty()) {
-        std::uint32_t id = open.pop().id;
-        if (nodes.closed(id)) {
-            ++result.search_stats.stale_pops;
-            continue;
-        }
-        nodes.close(id);
-        ++result.expanded;
-        if (problem.max_expansions &&
-            result.expanded > problem.max_expansions)
-            return result;
-
-        if (problem.isGoal(states[id])) {
-            result.found = true;
-            result.cost = nodes.g(id);
-            // Reconstruct the path by walking parents.
-            std::vector<std::uint32_t> chain;
-            for (std::uint32_t cur = id; cur != kNoParent;
-                 cur = nodes.parent(cur))
-                chain.push_back(cur);
-            for (auto it = chain.rbegin(); it != chain.rend(); ++it)
-                result.path.push_back(states[*it]);
-            return result;
-        }
-
-        succ.clear();
-        problem.successors(states[id], succ);
-        result.generated += succ.size();
-        double g = nodes.g(id);
-        for (const auto &[next, edge_cost] : succ) {
-            std::uint32_t next_id = intern(next);
-            double candidate = g + edge_cost;
-            bool fresh =
-                nodes.parent(next_id) == kNoParent && next_id != start_id;
-            if (!fresh && nodes.closed(next_id)) {
-                if (candidate < nodes.g(next_id))
-                    ++result.search_stats.reopen_skips;
-                continue;
-            }
-            if (fresh || candidate < nodes.g(next_id)) {
-                nodes.setG(next_id, candidate);
-                nodes.setParent(next_id, id);
-                open.push(candidate +
-                              problem.epsilon *
-                                  problem.heuristic(states[next_id]),
-                          next_id);
-            }
-        }
-        // The heap only grows inside the successor loop, so sampling
-        // once per expansion captures the true peak.
-        if (open.size() > result.peak_open)
-            result.peak_open = open.size();
-    }
-    return result;
-}
-
-/** Reference AoS node storage. */
-struct AStarNodesAos
-{
-    struct NodeInfo
-    {
-        double g = 0.0;
-        std::uint32_t parent = 0xFFFFFFFF;
-        bool closed = false;
-    };
-    std::vector<NodeInfo> info;
-
-    void append() { info.push_back(NodeInfo{}); }
-    double g(std::uint32_t id) const { return info[id].g; }
-    void setG(std::uint32_t id, double g) { info[id].g = g; }
-    std::uint32_t parent(std::uint32_t id) const
-    {
-        return info[id].parent;
-    }
-    void setParent(std::uint32_t id, std::uint32_t p)
-    {
-        info[id].parent = p;
-    }
-    bool closed(std::uint32_t id) const { return info[id].closed; }
-    void close(std::uint32_t id) { info[id].closed = true; }
-};
-
-/** Flat SoA node storage: open/closed tests touch one byte array. */
-struct AStarNodesSoa
-{
-    std::vector<double> g_;
-    std::vector<std::uint32_t> parent_;
-    std::vector<std::uint8_t> closed_;
-
-    void
-    append()
-    {
-        g_.push_back(0.0);
-        parent_.push_back(0xFFFFFFFF);
-        closed_.push_back(0);
-    }
-    double g(std::uint32_t id) const { return g_[id]; }
-    void setG(std::uint32_t id, double g) { g_[id] = g; }
-    std::uint32_t parent(std::uint32_t id) const { return parent_[id]; }
-    void setParent(std::uint32_t id, std::uint32_t p) { parent_[id] = p; }
-    bool closed(std::uint32_t id) const { return closed_[id] != 0; }
-    void close(std::uint32_t id) { closed_[id] = 1; }
-};
-
-} // namespace detail
-
 /**
  * Run (weighted) A* from @p start. States must be hashable and
  * equality-comparable.
@@ -205,40 +75,45 @@ template <typename State, typename Hash = std::hash<State>>
 AStarResult<State>
 astarSearch(const State &start, const AStarProblem<State> &problem)
 {
-    // States are interned into a dense id space as discovered.
+    AStarResult<State> result;
     std::vector<State> states;
     std::unordered_map<State, std::uint32_t, Hash> ids;
+    SearchWorkspace ws;
 
-    if (problem.search_engine == SearchEngine::Flat) {
-        detail::AStarNodesSoa nodes;
-        auto intern = [&](const State &s) -> std::uint32_t {
+    withDenseEngine(problem.search_engine, ws, 0, [&](auto &store,
+                                                      auto &open,
+                                                      auto &chain) {
+        auto intern = [&](const State &s) {
             auto [it, inserted] =
                 ids.emplace(s, static_cast<std::uint32_t>(states.size()));
             if (inserted) {
                 states.push_back(s);
-                nodes.append();
+                store.extend(states.size());
             }
             return it->second;
         };
-        DaryHeap<std::uint32_t, 4> open;
-        open.reserve(1024);
-        return detail::astarRun(start, problem, states, nodes, open,
-                                intern);
-    }
-
-    detail::AStarNodesAos nodes;
-    auto intern = [&](const State &s) -> std::uint32_t {
-        auto [it, inserted] =
-            ids.emplace(s, static_cast<std::uint32_t>(states.size()));
-        if (inserted) {
-            states.push_back(s);
-            nodes.append();
-        }
-        return it->second;
-    };
-    MinHeap<std::uint32_t> open;
-    open.reserve(1024);
-    return detail::astarRun(start, problem, states, nodes, open, intern);
+        std::vector<std::pair<State, double>> succ;
+        auto successors = [&](std::uint32_t id, auto &&relax) {
+            succ.clear();
+            problem.successors(states[id], succ);
+            result.generated += succ.size();
+            for (const auto &[next, edge_cost] : succ) {
+                std::uint32_t next_id = intern(next);
+                relax(next_id, edge_cost, [&] {
+                    return problem.epsilon *
+                           problem.heuristic(states[next_id]);
+                });
+            }
+        };
+        bestFirstSearch(
+            store, open, intern(start),
+            problem.epsilon * problem.heuristic(start), successors,
+            [&](std::uint32_t id) { return problem.isGoal(states[id]); },
+            result, chain, problem.max_expansions);
+        for (std::uint32_t id : chain)
+            result.path.push_back(states[id]);
+    });
+    return result;
 }
 
 } // namespace rtr

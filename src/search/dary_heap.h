@@ -1,19 +1,23 @@
 /**
  * @file
- * Implicit d-ary min-heap, the flat search engine's open list.
+ * Implicit d-ary min-heap with lazy deletion, the open list of every
+ * best-first search in the suite.
  *
- * Same contract as MinHeap (lazy deletion: decrease-key is a duplicate
- * push, stale pops are discarded against the caller's bookkeeping) but
- * with Arity children per node: the tree is shallower by a factor of
- * log2(Arity), sift-down compares Arity children that sit in one or two
- * cache lines, and sift-up — the common operation on A*'s mostly-
- * monotone key streams — does log_Arity(n) hops instead of log2(n).
+ * decrease-key is realized by pushing a duplicate entry and discarding
+ * stale pops against the caller's closed marks — the standard
+ * high-performance choice for A* open lists, trading a little heap
+ * slack for pointer-free array storage. With Arity children per node
+ * the tree is shallower by a factor of log2(Arity), sift-down compares
+ * Arity children that sit in one or two cache lines, and sift-up — the
+ * common operation on A*'s mostly-monotone key streams — does
+ * log_Arity(n) hops instead of log2(n). The flat search engine uses
+ * arity 4, the heap reference engine arity 2 (MinHeap).
  *
- * Ordering is the strict (key, id) lexicographic total order shared
- * with MinHeap: equal-key entries pop in id order on both, which is
- * what makes the flat and heap engines' expansion order — and every
- * downstream path and statistic — bitwise identical (DESIGN.md "Graph
- * search engine", tie-break proof sketch).
+ * Entries are ordered by the strict (key, id) lexicographic total
+ * order at every arity: equal-key entries pop in id order, never in
+ * structure-dependent order, which is what makes the two engines'
+ * expansion order — and every downstream path and statistic — bitwise
+ * identical (DESIGN.md "Graph-search engine", tie-break proof sketch).
  */
 
 #ifndef RTR_SEARCH_DARY_HEAP_H
@@ -117,6 +121,9 @@ class DaryHeap
 
     std::vector<Entry> entries_;
 };
+
+/** Binary heap: the heap reference engine's open list. */
+template <typename Id = std::uint32_t> using MinHeap = DaryHeap<Id, 2>;
 
 } // namespace rtr
 

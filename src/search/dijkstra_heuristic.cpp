@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "search/min_heap.h"
+#include "search/best_first.h"
 #include "util/logging.h"
 
 namespace rtr {
@@ -20,39 +20,40 @@ DijkstraHeuristic::DijkstraHeuristic(const CostGrid2D &field,
     ScopedPhase phase(profiler, "heuristic");
     RTR_ASSERT(!sources.empty(), "backward Dijkstra needs >= 1 source");
 
-    auto index = [this](int x, int y) {
-        return static_cast<std::size_t>(y) * width_ + x;
+    const int w = width_;
+    const int h = height_;
+    auto index = [w](int x, int y) {
+        return static_cast<std::uint32_t>(static_cast<std::size_t>(y) * w +
+                                          x);
     };
     const double kSqrt2 = std::sqrt(2.0);
 
-    if (engine == SearchEngine::Flat) {
-        // Closed marks live in the workspace's epoch stamps and the
-        // distances in table_ (it IS the output), so a rebuild against
-        // a warm workspace allocates nothing but the table itself.
-        static thread_local SearchWorkspace fallback;
-        SearchWorkspace &pool = ws != nullptr ? *ws : fallback;
-        pool.beginQuery(table_.size());
-        DaryHeap<std::uint32_t, 4> &open = pool.open();
-
+    // A multi-source flood with no goal and no parents: distances live
+    // in table_ (it IS the output), so a store only keeps closed marks
+    // — the workspace's epoch stamps (flat: a rebuild against a warm
+    // workspace allocates nothing but the table) or per-query bytes.
+    static thread_local SearchWorkspace fallback;
+    withDenseEngine(engine, ws != nullptr ? *ws : fallback, table_.size(),
+                    [&](auto &store, auto &open, auto &) {
         for (const Cell2 &s : sources) {
-            if (s.x < 0 || s.x >= width_ || s.y < 0 || s.y >= height_)
+            if (s.x < 0 || s.x >= w || s.y < 0 || s.y >= h)
                 continue;
             if (!field.passable(s.x, s.y))
                 continue;
-            std::size_t id = index(s.x, s.y);
+            const std::uint32_t id = index(s.x, s.y);
             if (table_[id] > 0.0) {
                 table_[id] = 0.0;
-                open.push(0.0, static_cast<std::uint32_t>(id));
+                open.push(0.0, id);
             }
         }
 
         while (!open.empty()) {
             auto [dist, id] = open.pop();
-            if (pool.closed(id))
+            if (store.closed(id))
                 continue;
-            pool.close(id);
-            int x = static_cast<int>(id % width_);
-            int y = static_cast<int>(id / width_);
+            store.close(id);
+            int x = static_cast<int>(id % w);
+            int y = static_cast<int>(id / w);
             double from_cost = field.cost(x, y);
 
             for (int dy = -1; dy <= 1; ++dy) {
@@ -60,12 +61,12 @@ DijkstraHeuristic::DijkstraHeuristic(const CostGrid2D &field,
                     if (dx == 0 && dy == 0)
                         continue;
                     int nx = x + dx, ny = y + dy;
-                    if (nx < 0 || nx >= width_ || ny < 0 || ny >= height_)
+                    if (nx < 0 || nx >= w || ny < 0 || ny >= h)
                         continue;
                     if (!field.passable(nx, ny))
                         continue;
-                    std::size_t nid = index(nx, ny);
-                    if (pool.closed(static_cast<std::uint32_t>(nid)))
+                    const std::uint32_t nid = index(nx, ny);
+                    if (store.closed(nid))
                         continue;
                     double step = (dx != 0 && dy != 0) ? kSqrt2 : 1.0;
                     double edge =
@@ -73,61 +74,12 @@ DijkstraHeuristic::DijkstraHeuristic(const CostGrid2D &field,
                     double candidate = dist + edge;
                     if (candidate < table_[nid]) {
                         table_[nid] = candidate;
-                        open.push(candidate,
-                                  static_cast<std::uint32_t>(nid));
+                        open.push(candidate, nid);
                     }
                 }
             }
         }
-        return;
-    }
-
-    MinHeap<std::uint32_t> open;
-    for (const Cell2 &s : sources) {
-        if (s.x < 0 || s.x >= width_ || s.y < 0 || s.y >= height_)
-            continue;
-        if (!field.passable(s.x, s.y))
-            continue;
-        std::size_t id = index(s.x, s.y);
-        if (table_[id] > 0.0) {
-            table_[id] = 0.0;
-            open.push(0.0, static_cast<std::uint32_t>(id));
-        }
-    }
-
-    std::vector<std::uint8_t> closed(table_.size(), 0);
-    while (!open.empty()) {
-        auto [dist, id] = open.pop();
-        if (closed[id])
-            continue;
-        closed[id] = 1;
-        int x = static_cast<int>(id % width_);
-        int y = static_cast<int>(id / width_);
-        double from_cost = field.cost(x, y);
-
-        for (int dy = -1; dy <= 1; ++dy) {
-            for (int dx = -1; dx <= 1; ++dx) {
-                if (dx == 0 && dy == 0)
-                    continue;
-                int nx = x + dx, ny = y + dy;
-                if (nx < 0 || nx >= width_ || ny < 0 || ny >= height_)
-                    continue;
-                if (!field.passable(nx, ny))
-                    continue;
-                std::size_t nid = index(nx, ny);
-                if (closed[nid])
-                    continue;
-                double step = (dx != 0 && dy != 0) ? kSqrt2 : 1.0;
-                double edge =
-                    0.5 * (from_cost + field.cost(nx, ny)) * step;
-                double candidate = dist + edge;
-                if (candidate < table_[nid]) {
-                    table_[nid] = candidate;
-                    open.push(candidate, static_cast<std::uint32_t>(nid));
-                }
-            }
-        }
-    }
+    });
 }
 
 } // namespace rtr

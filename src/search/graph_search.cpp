@@ -1,130 +1,9 @@
 #include "search/graph_search.h"
 
-#include <limits>
-
-#include "search/min_heap.h"
+#include "search/best_first.h"
 #include "util/logging.h"
 
 namespace rtr {
-
-namespace {
-
-GraphSearchResult
-graphAStarHeap(const ExplicitGraph &graph, std::uint32_t start,
-               std::uint32_t goal,
-               const std::function<double(std::uint32_t)> &heuristic)
-{
-    GraphSearchResult result;
-    const double inf = std::numeric_limits<double>::max();
-    std::vector<double> g(graph.size(), inf);
-    std::vector<std::int64_t> parent(graph.size(), -1);
-    std::vector<std::uint8_t> closed(graph.size(), 0);
-
-    MinHeap<std::uint32_t> open;
-    g[start] = 0.0;
-    ++result.heuristic_evals;
-    open.push(heuristic(start), start);
-    result.peak_open = open.size();
-
-    while (!open.empty()) {
-        auto [key, id] = open.pop();
-        if (closed[id]) {
-            ++result.search_stats.stale_pops;
-            continue;
-        }
-        closed[id] = 1;
-        ++result.expanded;
-
-        if (id == goal) {
-            result.found = true;
-            result.cost = g[id];
-            std::vector<std::uint32_t> reversed;
-            for (std::int64_t cur = id; cur >= 0;
-                 cur = parent[static_cast<std::size_t>(cur)])
-                reversed.push_back(static_cast<std::uint32_t>(cur));
-            result.path.assign(reversed.rbegin(), reversed.rend());
-            return result;
-        }
-
-        for (const ExplicitGraph::Edge &edge : graph.neighbors(id)) {
-            double candidate = g[id] + edge.cost;
-            if (closed[edge.to]) {
-                if (candidate < g[edge.to])
-                    ++result.search_stats.reopen_skips;
-                continue;
-            }
-            if (candidate < g[edge.to]) {
-                g[edge.to] = candidate;
-                parent[edge.to] = id;
-                ++result.heuristic_evals;
-                open.push(candidate + heuristic(edge.to), edge.to);
-            }
-        }
-        if (open.size() > result.peak_open)
-            result.peak_open = open.size();
-    }
-    return result;
-}
-
-GraphSearchResult
-graphAStarFlat(const ExplicitGraph &graph, std::uint32_t start,
-               std::uint32_t goal,
-               const std::function<double(std::uint32_t)> &heuristic,
-               SearchWorkspace &ws)
-{
-    GraphSearchResult result;
-    ws.beginQuery(graph.size());
-    DaryHeap<std::uint32_t, 4> &open = ws.open();
-
-    ws.relax(start, 0.0, SearchWorkspace::kNoParent);
-    ++result.heuristic_evals;
-    open.push(heuristic(start), start);
-    result.peak_open = open.size();
-
-    while (!open.empty()) {
-        std::uint32_t id = open.pop().id;
-        if (ws.closed(id)) {
-            ++result.search_stats.stale_pops;
-            continue;
-        }
-        ws.close(id);
-        ++result.expanded;
-
-        if (id == goal) {
-            result.found = true;
-            result.cost = ws.g(id);
-            std::vector<std::uint32_t> &chain = ws.chain();
-            chain.clear();
-            for (std::uint32_t cur = id; cur != SearchWorkspace::kNoParent;
-                 cur = ws.parent(cur))
-                chain.push_back(cur);
-            result.path.assign(chain.rbegin(), chain.rend());
-            return result;
-        }
-
-        double g_cur = ws.g(id);
-        for (const ExplicitGraph::Edge &edge : graph.neighbors(id)) {
-            double candidate = g_cur + edge.cost;
-            if (ws.discovered(edge.to)) {
-                if (ws.closed(edge.to)) {
-                    if (candidate < ws.g(edge.to))
-                        ++result.search_stats.reopen_skips;
-                    continue;
-                }
-                if (candidate >= ws.g(edge.to))
-                    continue;
-            }
-            ws.relax(edge.to, candidate, id);
-            ++result.heuristic_evals;
-            open.push(candidate + heuristic(edge.to), edge.to);
-        }
-        if (open.size() > result.peak_open)
-            result.peak_open = open.size();
-    }
-    return result;
-}
-
-} // namespace
 
 std::size_t
 ExplicitGraph::edgeCount() const
@@ -164,12 +43,26 @@ graphAStar(const ExplicitGraph &graph, std::uint32_t start,
     ScopedPhase phase(profiler, "graph-search");
     RTR_ASSERT(start < graph.size() && goal < graph.size(),
                "start/goal out of graph");
-    if (engine == SearchEngine::Flat) {
-        static thread_local SearchWorkspace fallback;
-        return graphAStarFlat(graph, start, goal, heuristic,
-                              ws != nullptr ? *ws : fallback);
-    }
-    return graphAStarHeap(graph, start, goal, heuristic);
+    static thread_local SearchWorkspace fallback;
+    GraphSearchResult result;
+    auto successors = [&](std::uint32_t id, auto &&relax) {
+        for (const ExplicitGraph::Edge &edge : graph.neighbors(id)) {
+            relax(edge.to, edge.cost, [&] {
+                ++result.heuristic_evals;
+                return heuristic(edge.to);
+            });
+        }
+    };
+    withDenseEngine(
+        engine, ws != nullptr ? *ws : fallback, graph.size(),
+        [&](auto &store, auto &open, auto &) {
+            ++result.heuristic_evals;
+            bestFirstSearch(
+                store, open, start, heuristic(start), successors,
+                [goal](std::uint32_t id) { return id == goal; }, result,
+                result.path);
+        });
+    return result;
 }
 
 } // namespace rtr

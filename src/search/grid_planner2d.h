@@ -75,15 +75,6 @@ class GridPlanner2D
                     double epsilon = 1.0,
                     PhaseProfiler *profiler = nullptr) const;
 
-    /**
-     * plan() forced through the flat engine with an open list of the
-     * given arity (2, 4 or 8) — the bench_abl_wastar open-list
-     * ablation axis. Results are identical to plan() at any arity.
-     */
-    GridPlan2D planWithArity(const Cell2 &start, const Cell2 &goal,
-                             double epsilon, int arity,
-                             PhaseProfiler *profiler = nullptr) const;
-
     /** Whether a cell is a valid robot state (bounds + collision). */
     bool stateValid(const Cell2 &cell, double heading) const;
 
@@ -91,14 +82,6 @@ class GridPlanner2D
     SearchEngine engine() const { return engine_; }
 
   private:
-    GridPlan2D planHeap(const Cell2 &start, const Cell2 &goal,
-                        double epsilon, PhaseProfiler *profiler) const;
-
-    template <unsigned Arity>
-    GridPlan2D planFlat(const Cell2 &start, const Cell2 &goal,
-                        double epsilon, PhaseProfiler *profiler,
-                        DaryHeap<std::uint32_t, Arity> &open) const;
-
     const OccupancyGrid2D &grid_;
     const RectFootprint *footprint_;
     SearchEngine engine_;

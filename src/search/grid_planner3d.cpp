@@ -1,9 +1,8 @@
 #include "search/grid_planner3d.h"
 
 #include <cmath>
-#include <limits>
 
-#include "search/min_heap.h"
+#include "search/best_first.h"
 
 namespace rtr {
 
@@ -49,120 +48,6 @@ GridPlan3D
 GridPlanner3D::plan(const Cell3 &start, const Cell3 &goal, double epsilon,
                     PhaseProfiler *profiler) const
 {
-    if (engine_ == SearchEngine::Flat)
-        return planFlat(start, goal, epsilon, profiler);
-    return planHeap(start, goal, epsilon, profiler);
-}
-
-GridPlan3D
-GridPlanner3D::planHeap(const Cell3 &start, const Cell3 &goal,
-                        double epsilon, PhaseProfiler *profiler) const
-{
-    GridPlan3D result;
-    const int w = grid_.width();
-    const int h = grid_.height();
-    const int d = grid_.depth();
-    const double res = grid_.resolution();
-    auto index = [w, h](const Cell3 &c) {
-        return (static_cast<std::size_t>(c.z) * h + c.y) * w + c.x;
-    };
-
-    if (grid_.occupied(start.x, start.y, start.z) ||
-        grid_.occupied(goal.x, goal.y, goal.z))
-        return result;
-
-    const double inf = std::numeric_limits<double>::max();
-    const std::size_t n = static_cast<std::size_t>(w) * h * d;
-    std::vector<double> g(n, inf);
-    std::vector<std::int32_t> parent(n, -1);
-    std::vector<std::uint8_t> closed(n, 0);
-
-    auto heuristic = [&](const Cell3 &c) {
-        double dx = (c.x - goal.x) * res;
-        double dy = (c.y - goal.y) * res;
-        double dz = (c.z - goal.z) * res;
-        return std::sqrt(dx * dx + dy * dy + dz * dz);
-    };
-    auto unpack = [w, h](std::uint32_t id) {
-        int x = static_cast<int>(id % w);
-        int y = static_cast<int>((id / w) % h);
-        int z = static_cast<int>(id / (static_cast<std::size_t>(w) * h));
-        return Cell3{x, y, z};
-    };
-
-    MinHeap<std::uint32_t> open;
-    open.reserve(4096);
-    g[index(start)] = 0.0;
-    open.push(epsilon * heuristic(start),
-              static_cast<std::uint32_t>(index(start)));
-    result.peak_open = open.size();
-
-    while (!open.empty()) {
-        auto [key, id] = open.pop();
-        if (closed[id]) {
-            ++result.search_stats.stale_pops;
-            continue;
-        }
-        closed[id] = 1;
-        ++result.expanded;
-        Cell3 cell = unpack(id);
-
-        if (cell == goal) {
-            result.found = true;
-            result.cost = g[id];
-            std::vector<Cell3> reversed;
-            for (std::int32_t cur = static_cast<std::int32_t>(id); cur >= 0;
-                 cur = parent[static_cast<std::size_t>(cur)]) {
-                reversed.push_back(
-                    unpack(static_cast<std::uint32_t>(cur)));
-            }
-            result.path.assign(reversed.rbegin(), reversed.rend());
-            return result;
-        }
-
-        bool valid[26];
-        {
-            ScopedPhase phase(profiler, "collision");
-            for (std::size_t m = 0; m < kMoves.size(); ++m) {
-                Cell3 next{cell.x + kMoves[m].dx, cell.y + kMoves[m].dy,
-                           cell.z + kMoves[m].dz};
-                ++result.collision_checks;
-                valid[m] = !grid_.occupied(next.x, next.y, next.z);
-            }
-        }
-
-        double g_cur = g[id];
-        for (std::size_t m = 0; m < kMoves.size(); ++m) {
-            if (!valid[m])
-                continue;
-            Cell3 next{cell.x + kMoves[m].dx, cell.y + kMoves[m].dy,
-                       cell.z + kMoves[m].dz};
-            std::size_t next_id = index(next);
-            double candidate = g_cur + kMoves[m].len * res;
-            if (closed[next_id]) {
-                if (candidate < g[next_id])
-                    ++result.search_stats.reopen_skips;
-                continue;
-            }
-            if (candidate < g[next_id]) {
-                g[next_id] = candidate;
-                parent[next_id] = static_cast<std::int32_t>(id);
-                open.push(candidate + epsilon * heuristic(next),
-                          static_cast<std::uint32_t>(next_id));
-            }
-        }
-        // The heap only grows inside the successor loop, so sampling
-        // once per expansion captures the true peak.
-        if (open.size() > result.peak_open)
-            result.peak_open = open.size();
-    }
-    return result;
-}
-
-GridPlan3D
-GridPlanner3D::planFlat(const Cell3 &start, const Cell3 &goal,
-                        double epsilon, PhaseProfiler *profiler) const
-{
     GridPlan3D result;
     const int w = grid_.width();
     const int h = grid_.height();
@@ -172,20 +57,6 @@ GridPlanner3D::planFlat(const Cell3 &start, const Cell3 &goal,
         return static_cast<std::uint32_t>(
             (static_cast<std::size_t>(c.z) * h + c.y) * w + c.x);
     };
-
-    if (grid_.occupied(start.x, start.y, start.z) ||
-        grid_.occupied(goal.x, goal.y, goal.z))
-        return result;
-
-    ws_.beginQuery(static_cast<std::size_t>(w) * h * d);
-    DaryHeap<std::uint32_t, 4> &open = ws_.open();
-
-    auto heuristic = [&](const Cell3 &c) {
-        double dx = (c.x - goal.x) * res;
-        double dy = (c.y - goal.y) * res;
-        double dz = (c.z - goal.z) * res;
-        return std::sqrt(dx * dx + dy * dy + dz * dz);
-    };
     auto unpack = [w, h](std::uint32_t id) {
         int x = static_cast<int>(id % w);
         int y = static_cast<int>((id / w) % h);
@@ -193,36 +64,18 @@ GridPlanner3D::planFlat(const Cell3 &start, const Cell3 &goal,
         return Cell3{x, y, z};
     };
 
-    const std::uint32_t start_id = index(start);
-    ws_.relax(start_id, 0.0, SearchWorkspace::kNoParent);
-    open.push(epsilon * heuristic(start), start_id);
-    result.peak_open = open.size();
+    if (grid_.occupied(start.x, start.y, start.z) ||
+        grid_.occupied(goal.x, goal.y, goal.z))
+        return result;
 
-    while (!open.empty()) {
-        std::uint32_t id = open.pop().id;
-        if (ws_.closed(id)) {
-            ++result.search_stats.stale_pops;
-            continue;
-        }
-        ws_.close(id);
-        ++result.expanded;
-        Cell3 cell = unpack(id);
-
-        if (cell == goal) {
-            result.found = true;
-            result.cost = ws_.g(id);
-            std::vector<std::uint32_t> &chain = ws_.chain();
-            chain.clear();
-            for (std::uint32_t cur = id; cur != SearchWorkspace::kNoParent;
-                 cur = ws_.parent(cur)) {
-                chain.push_back(cur);
-            }
-            result.path.reserve(chain.size());
-            for (std::size_t i = chain.size(); i > 0; --i)
-                result.path.push_back(unpack(chain[i - 1]));
-            return result;
-        }
-
+    auto heuristic = [&](const Cell3 &c) {
+        double dx = (c.x - goal.x) * res;
+        double dy = (c.y - goal.y) * res;
+        double dz = (c.z - goal.z) * res;
+        return epsilon * std::sqrt(dx * dx + dy * dy + dz * dz);
+    };
+    auto successors = [&](std::uint32_t id, auto &&relax) {
+        const Cell3 cell = unpack(id);
         bool valid[26];
         {
             ScopedPhase phase(profiler, "collision");
@@ -233,30 +86,28 @@ GridPlanner3D::planFlat(const Cell3 &start, const Cell3 &goal,
                 valid[m] = !grid_.occupied(next.x, next.y, next.z);
             }
         }
-
-        double g_cur = ws_.g(id);
         for (std::size_t m = 0; m < kMoves.size(); ++m) {
             if (!valid[m])
                 continue;
-            Cell3 next{cell.x + kMoves[m].dx, cell.y + kMoves[m].dy,
-                       cell.z + kMoves[m].dz};
-            std::uint32_t next_id = index(next);
-            double candidate = g_cur + kMoves[m].len * res;
-            if (ws_.discovered(next_id)) {
-                if (ws_.closed(next_id)) {
-                    if (candidate < ws_.g(next_id))
-                        ++result.search_stats.reopen_skips;
-                    continue;
-                }
-                if (candidate >= ws_.g(next_id))
-                    continue;
-            }
-            ws_.relax(next_id, candidate, id);
-            open.push(candidate + epsilon * heuristic(next), next_id);
+            const Cell3 next{cell.x + kMoves[m].dx, cell.y + kMoves[m].dy,
+                             cell.z + kMoves[m].dz};
+            relax(index(next), kMoves[m].len * res,
+                  [&] { return heuristic(next); });
         }
-        if (open.size() > result.peak_open)
-            result.peak_open = open.size();
-    }
+    };
+    const std::uint32_t goal_id = index(goal);
+
+    withDenseEngine(
+        engine_, ws_, static_cast<std::size_t>(w) * h * d,
+        [&](auto &store, auto &open, std::vector<std::uint32_t> &chain) {
+            bestFirstSearch(
+                store, open, index(start), heuristic(start), successors,
+                [goal_id](std::uint32_t id) { return id == goal_id; },
+                result, chain);
+            result.path.reserve(chain.size());
+            for (std::uint32_t id : chain)
+                result.path.push_back(unpack(id));
+        });
     return result;
 }
 

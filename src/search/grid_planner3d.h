@@ -69,11 +69,6 @@ class GridPlanner3D
     SearchEngine engine() const { return engine_; }
 
   private:
-    GridPlan3D planHeap(const Cell3 &start, const Cell3 &goal,
-                        double epsilon, PhaseProfiler *profiler) const;
-    GridPlan3D planFlat(const Cell3 &start, const Cell3 &goal,
-                        double epsilon, PhaseProfiler *profiler) const;
-
     const OccupancyGrid3D &grid_;
     SearchEngine engine_;
     /** Flat-engine scratch (see plan() on thread-safety). */

@@ -2,17 +2,18 @@
  * @file
  * Runtime selection of the graph-search engine.
  *
- * Two engines implement every A* / Dijkstra expansion loop in the suite
- * (DESIGN.md "Graph search engine"):
+ * Every A* search in the suite runs one best-first loop
+ * (search/best_first.h); an engine is the node store and open list
+ * that loop runs on (DESIGN.md "Graph-search engine"):
  *
- *   flat  cache-conscious engine: dense SoA node pools indexed by cell
+ *   flat  cache-conscious stores: dense SoA node pools indexed by cell
  *         or node id, epoch-stamped visited/closed entries (query reset
  *         is a counter bump, not an O(n) clear), and an implicit 4-ary
  *         open list — reusable through a per-planner/per-worker
  *         SearchWorkspace so repeat queries are allocation-free (the
  *         default);
- *   heap  the preserved reference path: binary MinHeap plus per-query
- *         std::vector / std::unordered_map bookkeeping.
+ *   heap  the reference: per-query node vectors (or a std::unordered_map
+ *         intern on the space-time lattice) and a binary open list.
  *
  * Both open lists share one strict (key, id) total order, so popped
  * expansion order — and therefore paths, costs, `expanded`, and
@@ -37,7 +38,7 @@ namespace rtr {
 enum class SearchEngine
 {
     Flat, ///< SoA node pools + epoch stamps + 4-ary heap (the default).
-    Heap, ///< Binary MinHeap + hash/vector bookkeeping (reference).
+    Heap, ///< Per-query vectors / hash intern + binary heap (reference).
 };
 
 /** Display name ("flat" / "heap"). */

@@ -1,12 +1,15 @@
 /**
  * @file
- * Reusable per-planner/per-worker state of the flat search engine.
+ * Node stores of the two graph-search engines: the per-node g, parent
+ * and open/closed state that the shared best-first loop
+ * (search/best_first.h) reads and writes. A store also maps the keys
+ * the open list holds to dense node ids (the identity on dense
+ * domains, an intern table on sparse ones).
  *
- * The flat engine's whole point is that a search touches dense arrays,
- * not a hash table, and that *resetting* those arrays between queries
- * costs O(1), not O(domain): every per-node entry (g, parent) is
- * guarded by an epoch stamp, and a query reset is `epoch += 2`. The
- * stamp encodes three states in one byte —
+ * Flat engine. Resetting the arrays between queries costs O(1), not
+ * O(domain): every per-node entry (g, parent) is guarded by an epoch
+ * stamp, and a query reset is `epoch += 2`. The stamp encodes three
+ * states in one byte —
  *
  *     stamp <  epoch      untouched this query (g/parent garbage)
  *     stamp == epoch      discovered and open
@@ -17,7 +20,7 @@
  * thousands of searches against one immutable World; an O(n) memset per
  * query would dwarf the searches themselves on small maps). Stamps are
  * a single byte: the closed-test array must stay as dense as the
- * reference engine's closed bitmap or full-domain floods (epsilon = 1
+ * reference engine's closed bytes or full-domain floods (epsilon = 1
  * on a large grid) lose the cache-residency contest that this engine
  * exists to win. Byte stamps wrap every 126 queries, at which point one
  * honest O(n) clear re-arms them — amortized O(n/126), noise.
@@ -27,6 +30,10 @@
  * like the collision checker's FK scratch. Warm workspaces make repeat
  * queries allocation-free on the expansion path (asserted by
  * tests/test_search_flat.cpp).
+ *
+ * Heap engine (the reference). Plain NodeArrays allocated per query:
+ * DenseNodeStore over a dense domain, SparseNodeStore<HashIntern64>
+ * (a std::unordered_map intern) over the space-time lattice.
  */
 
 #ifndef RTR_SEARCH_SEARCH_WORKSPACE_H
@@ -34,6 +41,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "search/dary_heap.h"
@@ -61,11 +69,7 @@ class SearchWorkspace
     void
     beginQuery(std::size_t n)
     {
-        if (n > stamp_.size()) {
-            stamp_.resize(n, 0);
-            g_.resize(n);
-            parent_.resize(n);
-        }
+        extend(n);
         if (epoch_ >= 254u) {
             std::fill(stamp_.begin(), stamp_.end(),
                       std::uint8_t{0});
@@ -74,6 +78,26 @@ class SearchWorkspace
         epoch_ += 2;
         open_.clear();
     }
+
+    /**
+     * Grow the domain to ids [0, n) without resetting the query (for
+     * searches that number states as they discover them); new ids
+     * start untouched.
+     */
+    void
+    extend(std::size_t n)
+    {
+        if (n > stamp_.size()) {
+            stamp_.resize(n, 0);
+            g_.resize(n);
+            parent_.resize(n);
+        }
+    }
+
+    /** Dense domain: open-list keys are node ids. */
+    static std::uint32_t intern(std::uint32_t id) { return id; }
+    static std::uint32_t find(std::uint32_t id) { return id; }
+    static std::uint32_t keyOf(std::uint32_t id) { return id; }
 
     /** Whether the node has been touched (open or closed) this query. */
     bool
@@ -242,72 +266,158 @@ class FlatIntern64
 };
 
 /**
- * Flat search state over sparse 64-bit keys (the spacetime planner):
- * the intern table plus SoA node data indexed by dense id, and an open
- * list keyed by the *sparse* key — the reference engine's MinHeap
- * orders ties by packed key, so the flat open list must too for the
- * expansion order to match.
+ * Per-node g, parent and a new/open/closed byte, indexed by dense id:
+ * the heap engine's node data, and the node half of the sparse stores
+ * (which append a slot per interned key).
  */
-class SparseSearchWorkspace
+class NodeArrays
 {
   public:
-    /** Dense-parent sentinel of the search root. */
+    /** Parent sentinel of a search root. */
     static constexpr std::uint32_t kNoParent = 0xFFFFFFFF;
 
-    /** Reset for one query; O(1), capacity is kept warm. */
+    /** Grow to ids [0, n); new ids start undiscovered. */
+    void
+    extend(std::size_t n)
+    {
+        if (n > state_.size()) {
+            g_.resize(n);
+            parent_.resize(n);
+            state_.resize(n, kNew);
+        }
+    }
+
+    /** Append one undiscovered node (the next dense id). */
+    void
+    append()
+    {
+        g_.push_back(0.0);
+        parent_.push_back(kNoParent);
+        state_.push_back(kNew);
+    }
+
+    /** Drop every node (keeps capacity). */
+    void
+    clear()
+    {
+        g_.clear();
+        parent_.clear();
+        state_.clear();
+    }
+
+    bool discovered(std::uint32_t id) const { return state_[id] != kNew; }
+    bool closed(std::uint32_t id) const { return state_[id] == kClosed; }
+
+    /** First-touch or improving relaxation: mark open, set g/parent. */
+    void
+    relax(std::uint32_t id, double g, std::uint32_t parent)
+    {
+        state_[id] = kOpen;
+        g_[id] = g;
+        parent_[id] = parent;
+    }
+
+    void close(std::uint32_t id) { state_[id] = kClosed; }
+    double g(std::uint32_t id) const { return g_[id]; }
+    std::uint32_t parent(std::uint32_t id) const { return parent_[id]; }
+
+  private:
+    enum : std::uint8_t { kNew, kOpen, kClosed };
+
+    std::vector<double> g_;
+    std::vector<std::uint32_t> parent_;
+    std::vector<std::uint8_t> state_;
+};
+
+/** The heap engine's dense store: NodeArrays allocated per query. */
+class DenseNodeStore : public NodeArrays
+{
+  public:
+    explicit DenseNodeStore(std::size_t n) { extend(n); }
+
+    /** Dense domain: open-list keys are node ids. */
+    static std::uint32_t intern(std::uint32_t id) { return id; }
+    static std::uint32_t find(std::uint32_t id) { return id; }
+    static std::uint32_t keyOf(std::uint32_t id) { return id; }
+};
+
+/**
+ * The heap engine's sparse intern: a per-query std::unordered_map (one
+ * heap node per entry), with FlatIntern64's interface.
+ */
+class HashIntern64
+{
+  public:
+    void beginQuery() { ids_.clear(); }
+
+    std::uint32_t
+    internId(std::uint64_t key, bool &fresh)
+    {
+        auto [it, inserted] =
+            ids_.emplace(key, static_cast<std::uint32_t>(ids_.size()));
+        fresh = inserted;
+        return it->second;
+    }
+
+    std::uint32_t findId(std::uint64_t key) const { return ids_.at(key); }
+
+  private:
+    std::unordered_map<std::uint64_t, std::uint32_t> ids_;
+};
+
+/**
+ * Store over sparse 64-bit keys (the space-time lattice): @p Intern
+ * maps each key to the next dense id as it is discovered, and the node
+ * data lives in NodeArrays indexed by that id. Open lists over such a
+ * store hold the *sparse* key, so equal-f ties pop in key order on
+ * either engine. Costs one intern probe per generated successor and
+ * one find per pop.
+ */
+template <typename Intern>
+class SparseNodeStore : public NodeArrays
+{
+  public:
+    /** Reset for one query (capacity is kept warm). */
     void
     beginQuery()
     {
         intern_.beginQuery();
-        g_.clear();
-        parent_.clear();
-        closed_.clear();
-        key_of_.clear();
-        open_.clear();
+        clear();
+        keys_.clear();
     }
 
-    /**
-     * Dense id of @p key; fresh entries get (g, parent) slots
-     * appended (allocation-free once capacity is warm).
-     */
+    /** Dense id of @p key, appending an undiscovered node when new. */
     std::uint32_t
-    internId(std::uint64_t key, bool &fresh)
+    intern(std::uint64_t key)
     {
+        bool fresh = false;
         std::uint32_t id = intern_.internId(key, fresh);
         if (fresh) {
-            g_.push_back(0.0);
-            parent_.push_back(kNoParent);
-            closed_.push_back(0);
-            key_of_.push_back(key);
+            append();
+            keys_.push_back(key);
         }
         return id;
     }
 
     /** Dense id of a key that is known to be present. */
-    std::uint32_t findId(std::uint64_t key) const
+    std::uint32_t find(std::uint64_t key) const
     {
         return intern_.findId(key);
     }
 
-    double g(std::uint32_t id) const { return g_[id]; }
-    void setG(std::uint32_t id, double g) { g_[id] = g; }
-    std::uint32_t parent(std::uint32_t id) const { return parent_[id]; }
-    void setParent(std::uint32_t id, std::uint32_t p) { parent_[id] = p; }
-    bool closed(std::uint32_t id) const { return closed_[id] != 0; }
-    void close(std::uint32_t id) { closed_[id] = 1; }
     /** Sparse key a dense id was interned from (path reconstruction). */
-    std::uint64_t keyOf(std::uint32_t id) const { return key_of_[id]; }
-
-    /** Open list over sparse keys (tie-break parity with MinHeap). */
-    DaryHeap<std::uint64_t, 4> &open() { return open_; }
+    std::uint64_t keyOf(std::uint32_t id) const { return keys_[id]; }
 
   private:
-    FlatIntern64 intern_;
-    std::vector<double> g_;
-    std::vector<std::uint32_t> parent_;
-    std::vector<std::uint8_t> closed_;
-    std::vector<std::uint64_t> key_of_;
-    DaryHeap<std::uint64_t, 4> open_;
+    Intern intern_;
+    std::vector<std::uint64_t> keys_;
+};
+
+/** The flat engine's sparse state: intern table, nodes, 4-ary open list. */
+struct SparseSearchWorkspace
+{
+    SparseNodeStore<FlatIntern64> nodes;
+    DaryHeap<std::uint64_t, 4> open;
 };
 
 } // namespace rtr

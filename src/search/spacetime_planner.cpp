@@ -1,30 +1,14 @@
 #include "search/spacetime_planner.h"
 
 #include <cmath>
-#include <unordered_map>
 #include <memory>
 
+#include "search/best_first.h"
 #include "search/dijkstra_heuristic.h"
-#include "search/min_heap.h"
-#include "search/search_workspace.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
 namespace rtr {
-
-namespace {
-
-/** Node bookkeeping for the sparse space-time search. */
-struct NodeInfo
-{
-    double g = 0.0;
-    std::uint64_t parent = kNoParent;
-    bool closed = false;
-
-    static constexpr std::uint64_t kNoParent = ~0ULL;
-};
-
-} // namespace
 
 SpacetimePlan
 planMovingTarget(const MovingTargetProblem &problem, PhaseProfiler *profiler)
@@ -72,167 +56,63 @@ planMovingTarget(const MovingTargetProblem &problem, PhaseProfiler *profiler)
     auto pack = [w, h](const Cell2 &c, int t) {
         return (static_cast<std::uint64_t>(t) * h + c.y) * w + c.x;
     };
-    auto unpack = [w, h](std::uint64_t key) {
+    const std::uint64_t plane = static_cast<std::uint64_t>(w) * h;
+    auto unpack = [w, h, plane](std::uint64_t key) {
         int x = static_cast<int>(key % w);
         int y = static_cast<int>((key / w) % h);
-        int t = static_cast<int>(key / (static_cast<std::uint64_t>(w) * h));
+        int t = static_cast<int>(key / plane);
         return SpacetimeState{Cell2{x, y}, t};
     };
 
     ScopedPhase search_phase(profiler, "graph-search");
 
     const double kSqrt2 = std::sqrt(2.0);
-    const std::uint64_t start_key = pack(problem.robot_start, 0);
-
-    if (problem.search_engine == SearchEngine::Flat) {
-        // Sparse flat engine: epoch-stamped intern table + SoA node
-        // pool, open list keyed by the packed (x, y, t) key so equal-f
-        // ties pop in the same order as the reference MinHeap.
-        static thread_local SparseSearchWorkspace ws;
-        ws.beginQuery();
-        DaryHeap<std::uint64_t, 4> &open = ws.open();
-
-        bool fresh = false;
-        std::uint32_t start_id = ws.internId(start_key, fresh);
-        ws.setG(start_id, 0.0);
-        open.push(problem.epsilon * h_value(problem.robot_start),
-                  start_key);
-        result.peak_open = open.size();
-
-        while (!open.empty()) {
-            std::uint64_t node_key = open.pop().id;
-            std::uint32_t node_id = ws.findId(node_key);
-            if (ws.closed(node_id)) {
-                ++result.search_stats.stale_pops;
-                continue;
-            }
-            ws.close(node_id);
-            ++result.expanded;
-
-            SpacetimeState state = unpack(node_key);
-            if (state.cell == target_at(state.time)) {
-                result.found = true;
-                result.cost = ws.g(node_id);
-                result.catch_time = state.time;
-                std::vector<SpacetimeState> reversed;
-                for (std::uint32_t cur = node_id;
-                     cur != SparseSearchWorkspace::kNoParent;
-                     cur = ws.parent(cur)) {
-                    reversed.push_back(unpack(ws.keyOf(cur)));
-                }
-                result.path.assign(reversed.rbegin(), reversed.rend());
-                return result;
-            }
-            if (state.time >= horizon)
-                continue;
-
-            double from_cost = field.cost(state.cell.x, state.cell.y);
-            double g_cur = ws.g(node_id);
-            for (int dy = -1; dy <= 1; ++dy) {
-                for (int dx = -1; dx <= 1; ++dx) {
-                    int nx = state.cell.x + dx;
-                    int ny = state.cell.y + dy;
-                    if (!field.passable(nx, ny))
-                        continue;
-                    double step =
-                        (dx != 0 && dy != 0) ? kSqrt2
-                                             : (dx || dy) ? 1.0 : 1.0;
-                    double edge =
-                        0.5 * (from_cost + field.cost(nx, ny)) * step;
-                    std::uint64_t next_key =
-                        pack(Cell2{nx, ny}, state.time + 1);
-                    std::uint32_t next_id = ws.internId(next_key, fresh);
-                    double candidate = g_cur + edge;
-                    if (!fresh && ws.closed(next_id)) {
-                        if (candidate < ws.g(next_id))
-                            ++result.search_stats.reopen_skips;
-                        continue;
-                    }
-                    if (fresh || candidate < ws.g(next_id)) {
-                        ws.setG(next_id, candidate);
-                        ws.setParent(next_id, node_id);
-                        open.push(candidate + problem.epsilon *
-                                                  h_value(Cell2{nx, ny}),
-                                  next_key);
-                    }
-                }
-            }
-            if (open.size() > result.peak_open)
-                result.peak_open = open.size();
-        }
-        return result;
-    }
-
-    std::unordered_map<std::uint64_t, NodeInfo> info;
-    MinHeap<std::uint64_t> open;
-
-    info[start_key] = NodeInfo{0.0, NodeInfo::kNoParent, false};
-    open.push(problem.epsilon *
-                  h_value(problem.robot_start),
-              start_key);
-    result.peak_open = open.size();
-
-    while (!open.empty()) {
-        auto [key, node_key] = open.pop();
-        NodeInfo &node = info[node_key];
-        if (node.closed) {
-            ++result.search_stats.stale_pops;
-            continue;
-        }
-        node.closed = true;
-        ++result.expanded;
-
-        SpacetimeState state = unpack(node_key);
-        if (state.cell == target_at(state.time)) {
-            result.found = true;
-            result.cost = node.g;
-            result.catch_time = state.time;
-            std::vector<SpacetimeState> reversed;
-            for (std::uint64_t cur = node_key;
-                 cur != NodeInfo::kNoParent;
-                 cur = info[cur].parent) {
-                reversed.push_back(unpack(cur));
-            }
-            result.path.assign(reversed.rbegin(), reversed.rend());
-            return result;
-        }
+    auto successors = [&](std::uint64_t key, auto &&relax) {
+        const SpacetimeState state = unpack(key);
         if (state.time >= horizon)
-            continue;
-
+            return;
         double from_cost = field.cost(state.cell.x, state.cell.y);
-        double g_cur = node.g;
         for (int dy = -1; dy <= 1; ++dy) {
             for (int dx = -1; dx <= 1; ++dx) {
-                int nx = state.cell.x + dx;
-                int ny = state.cell.y + dy;
-                if (!field.passable(nx, ny))
+                const Cell2 next{state.cell.x + dx, state.cell.y + dy};
+                if (!field.passable(next.x, next.y))
                     continue;
-                double step =
-                    (dx != 0 && dy != 0) ? kSqrt2 : (dx || dy) ? 1.0 : 1.0;
-                double edge = 0.5 * (from_cost + field.cost(nx, ny)) * step;
-                std::uint64_t next_key =
-                    pack(Cell2{nx, ny}, state.time + 1);
-                auto [it, fresh] = info.emplace(next_key, NodeInfo{});
-                NodeInfo &ni = it->second;
-                double candidate = g_cur + edge;
-                if (!fresh && ni.closed) {
-                    if (candidate < ni.g)
-                        ++result.search_stats.reopen_skips;
-                    continue;
-                }
-                if (fresh || candidate < ni.g) {
-                    ni.g = candidate;
-                    ni.parent = node_key;
-                    open.push(candidate +
-                                  problem.epsilon *
-                                      h_value(Cell2{nx, ny}),
-                              next_key);
-                }
+                double step = (dx != 0 && dy != 0) ? kSqrt2 : 1.0;
+                double edge =
+                    0.5 * (from_cost + field.cost(next.x, next.y)) * step;
+                relax(pack(next, state.time + 1), edge,
+                      [&] { return problem.epsilon * h_value(next); });
             }
         }
-        if (open.size() > result.peak_open)
-            result.peak_open = open.size();
+    };
+    auto caught = [&](std::uint64_t key) {
+        const int t = static_cast<int>(key / plane);
+        return key == pack(target_at(t), t);
+    };
+
+    // Open lists hold the packed (x, y, t) key, not the dense intern
+    // id, so equal-f ties pop in key order on both engines.
+    std::vector<std::uint64_t> keys;
+    auto search = [&](auto &store, auto &open) {
+        store.beginQuery();
+        open.clear();
+        bestFirstSearch(store, open, pack(problem.robot_start, 0),
+                        problem.epsilon * h_value(problem.robot_start),
+                        successors, caught, result, keys);
+    };
+    if (problem.search_engine == SearchEngine::Flat) {
+        static thread_local SparseSearchWorkspace ws;
+        search(ws.nodes, ws.open);
+    } else {
+        SparseNodeStore<HashIntern64> store;
+        MinHeap<std::uint64_t> open;
+        search(store, open);
     }
+
+    for (std::uint64_t key : keys)
+        result.path.push_back(unpack(key));
+    if (result.found)
+        result.catch_time = result.path.back().time;
     return result;
 }
 

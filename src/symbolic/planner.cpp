@@ -3,8 +3,7 @@
 #include <limits>
 #include <unordered_map>
 
-#include "search/min_heap.h"
-#include "util/logging.h"
+#include "search/astar.h"
 
 namespace rtr {
 
@@ -75,98 +74,58 @@ SymbolicPlanner::plan(PhaseProfiler *profiler) const
     SymbolicPlanResult result;
     result.ground_action_count = actions_.size();
 
-    constexpr std::uint32_t kNone = 0xFFFFFFFF;
-    struct NodeInfo
-    {
-        double g = 0.0;
-        std::uint32_t parent = 0xFFFFFFFF;
-        std::uint32_t via_action = 0xFFFFFFFF;
-        bool closed = false;
-    };
-
-    std::vector<SymbolicState> states;
-    std::unordered_map<SymbolicState, std::uint32_t, SymbolicStateHash> ids;
-    std::vector<NodeInfo> info;
-    auto intern = [&](const SymbolicState &s) {
-        auto [it, inserted] =
-            ids.emplace(s, static_cast<std::uint32_t>(states.size()));
-        if (inserted) {
-            states.push_back(s);
-            info.push_back(NodeInfo{});
-        }
-        return it->second;
-    };
-
-    MinHeap<std::uint32_t> open;
-    std::uint32_t start_id = intern(problem_.initial);
-    {
-        ScopedPhase phase(profiler, "heuristic");
-        open.push(config_.epsilon * heuristicValue(problem_.initial),
-                  start_id);
-    }
-
     std::size_t applicable_total = 0;
-
-    while (!open.empty()) {
-        auto [key, id] = open.pop();
-        if (info[id].closed)
-            continue;
-        info[id].closed = true;
-        ++result.expanded;
-        if (result.expanded > config_.max_expansions)
-            return result;
-
-        // Copy: interning successors may grow `states`.
-        const SymbolicState state = states[id];
-        const double g_cur = info[id].g;
-
-        if (state.containsAll(problem_.goal)) {
-            result.found = true;
-            result.cost = g_cur;
-            std::vector<std::string> reversed;
-            for (std::uint32_t cur = id; info[cur].parent != kNone;
-                 cur = info[cur].parent) {
-                reversed.push_back(actions_[info[cur].via_action].name);
+    AStarProblem<SymbolicState> problem;
+    // Successor generation: applicability tests + effect application,
+    // all string manipulation over the node. Every action costs 1.
+    problem.successors =
+        [&](const SymbolicState &state,
+            std::vector<std::pair<SymbolicState, double>> &out) {
+            ScopedPhase phase(profiler, "expand");
+            for (const GroundAction &action : actions_) {
+                if (!action.applicable(state))
+                    continue;
+                ++applicable_total;
+                out.emplace_back(action.apply(state), 1.0);
             }
-            result.plan.assign(reversed.rbegin(), reversed.rend());
-            if (result.expanded)
-                result.avg_applicable_actions =
-                    static_cast<double>(applicable_total) /
-                    static_cast<double>(result.expanded);
-            return result;
-        }
+        };
+    problem.heuristic = [&](const SymbolicState &state) {
+        ScopedPhase phase(profiler, "heuristic");
+        return heuristicValue(state);
+    };
+    problem.isGoal = [&](const SymbolicState &state) {
+        return state.containsAll(problem_.goal);
+    };
+    problem.epsilon = config_.epsilon;
+    problem.max_expansions = config_.max_expansions;
 
-        // Successor generation: applicability tests + effect
-        // application, all string manipulation over the node.
-        ScopedPhase expand_phase(profiler, "expand");
-        for (std::size_t a = 0; a < actions_.size(); ++a) {
-            if (!actions_[a].applicable(state))
-                continue;
-            ++applicable_total;
-            SymbolicState next = actions_[a].apply(state);
-            ++result.generated;
-            std::uint32_t next_id = intern(next);
-            NodeInfo &ni = info[next_id];
-            double candidate = g_cur + 1.0;
-            bool fresh =
-                ni.parent == kNone && next_id != start_id;
-            if (fresh || (!ni.closed && candidate < ni.g)) {
-                ni.g = candidate;
-                ni.parent = id;
-                ni.via_action = static_cast<std::uint32_t>(a);
-                double h;
-                {
-                    ScopedPhase h_phase(profiler, "heuristic");
-                    h = heuristicValue(next);
-                }
-                open.push(candidate + config_.epsilon * h, next_id);
-            }
-        }
-    }
+    AStarResult<SymbolicState> search =
+        astarSearch<SymbolicState, SymbolicStateHash>(problem_.initial,
+                                                      problem);
+    result.found = search.found;
+    result.cost = search.cost;
+    result.expanded = search.expanded;
+    result.generated = search.generated;
     if (result.expanded)
         result.avg_applicable_actions =
             static_cast<double>(applicable_total) /
             static_cast<double>(result.expanded);
+
+    // Name the step P -> N by the lowest-index action that maps P to N:
+    // that is the action that set N's parent, since P is expanded once
+    // and, with unit costs, a later action from P reaching N cannot
+    // strictly improve N's g.
+    ScopedPhase phase(profiler, "expand");
+    for (std::size_t i = 1; i < search.path.size(); ++i) {
+        const SymbolicState &from = search.path[i - 1];
+        for (const GroundAction &action : actions_) {
+            if (action.applicable(from) &&
+                action.apply(from) == search.path[i]) {
+                result.plan.push_back(action.name);
+                break;
+            }
+        }
+    }
     return result;
 }
 

@@ -35,7 +35,7 @@ struct SymbolicPlannerConfig
     Heuristic heuristic = Heuristic::HAdd;
     /** Heuristic inflation (WA*). */
     double epsilon = 1.5;
-    /** Expansion cap before giving up. */
+    /** Expansion cap before giving up (0 = unbounded). */
     std::size_t max_expansions = 500000;
 };
 
@@ -73,9 +73,13 @@ class SymbolicPlanner
     /**
      * Search for a plan.
      *
+     * Weighted A* through astarSearch, on the engine that
+     * defaultSearchEngine() selects (identical plans either way).
+     *
      * @param profiler Optional; accumulates "heuristic" (hAdd /
      *        goal-count evaluations) and "expand" (applicability tests
      *        and effect application — the string-manipulation phase).
+     *        The two phases are disjoint.
      */
     SymbolicPlanResult plan(PhaseProfiler *profiler = nullptr) const;
 

@@ -19,7 +19,7 @@
 #include "kernels/registry.h"
 #include "perception/particle_filter.h"
 #include "plan/rrt_star.h"
-#include "search/min_heap.h"
+#include "search/dary_heap.h"
 #include "util/rng.h"
 
 namespace rtr {

@@ -10,7 +10,7 @@
 
 #include "search/astar.h"
 #include "search/graph_search.h"
-#include "search/min_heap.h"
+#include "search/dary_heap.h"
 #include "util/rng.h"
 
 namespace rtr {

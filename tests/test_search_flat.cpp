@@ -33,7 +33,6 @@
 #include "search/graph_search.h"
 #include "search/grid_planner2d.h"
 #include "search/grid_planner3d.h"
-#include "search/min_heap.h"
 #include "search/search_engine.h"
 #include "search/spacetime_planner.h"
 #include "util/rng.h"
@@ -217,21 +216,6 @@ TEST(SearchFlatFuzz, GridPlanner2DMatchesHeapEngine)
             GridPlan2D a = flat.plan(start, goal, epsilon);
             GridPlan2D b = heap.plan(start, goal, epsilon);
             expectPlansEqual(a, b);
-        }
-    }
-}
-
-TEST(SearchFlatFuzz, GridPlanner2DArityInvariant)
-{
-    OccupancyGrid2D grid = makeCityMap(96, 0.5, 11);
-    GridPlanner2D planner(grid, nullptr, SearchEngine::Flat);
-    Cell2 start{3, 3}, goal{92, 92};
-    for (double epsilon : {1.0, 2.0}) {
-        GridPlan2D reference = planner.plan(start, goal, epsilon);
-        for (int arity : {2, 4, 8}) {
-            GridPlan2D alt =
-                planner.planWithArity(start, goal, epsilon, arity);
-            expectPlansEqual(alt, reference);
         }
     }
 }

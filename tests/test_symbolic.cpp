@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "symbolic/blocks_world.h"
 #include "symbolic/domain.h"
@@ -242,6 +244,41 @@ TEST(Planner, TrivialGoalYieldsEmptyPlan)
     ASSERT_TRUE(result.found);
     EXPECT_TRUE(result.plan.empty());
     EXPECT_DOUBLE_EQ(result.cost, 0.0);
+}
+
+/**
+ * Search-order pin: expansion and generation counts, plan and cost of
+ * the default blocks-world and firefight instances (the sym-blkw and
+ * sym-fext kernel defaults). Any change to expansion order, tie-break
+ * or relaxation shows up here; the values hold on both search engines.
+ */
+TEST(Planner, DefaultInstancesExpandInPinnedOrder)
+{
+    SymbolicPlanResult blkw = SymbolicPlanner(makeBlocksWorld(6, 1)).plan();
+    ASSERT_TRUE(blkw.found);
+    EXPECT_EQ(blkw.expanded, 8u);
+    EXPECT_EQ(blkw.generated, 60u);
+    EXPECT_EQ(blkw.cost, 7.0);
+    EXPECT_EQ(blkw.plan,
+              (std::vector<std::string>{
+                  "MoveToTable(B5,B6)", "MoveToTable(B6,B3)",
+                  "Move(B4,B2,B6)", "Move(B3,Table,B5)", "Move(B2,B1,B3)",
+                  "Move(B1,Table,B4)", "Move(B2,B3,B1)"}));
+
+    SymbolicPlanResult fext = SymbolicPlanner(makeFirefight(12)).plan();
+    ASSERT_TRUE(fext.found);
+    EXPECT_EQ(fext.expanded, 494u);
+    EXPECT_EQ(fext.generated, 11761u);
+    EXPECT_EQ(fext.cost, 20.0);
+    EXPECT_EQ(fext.plan,
+              (std::vector<std::string>{
+                  "MoveRob(L1,L2)", "Land(L2)", "MoveRobCarry(L2,W)",
+                  "FillWater()", "MoveRobCarry(W,F)", "ChargeBattery(F)",
+                  "TakeOff(F)", "PourWater1()", "Land(F)",
+                  "MoveRobCarry(F,W)", "FillWater()", "MoveRobCarry(W,F)",
+                  "TakeOff(F)", "PourWater2()", "Land(F)",
+                  "MoveRobCarry(F,W)", "FillWater()", "MoveRobCarry(W,F)",
+                  "TakeOff(F)", "PourWater3()"}));
 }
 
 } // namespace
