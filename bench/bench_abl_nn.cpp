@@ -9,7 +9,9 @@
  *     ablation — what having a tree at all buys as the tree grows);
  *  2. layout: the leaf-bucketed SoA "bucket" engine vs the one-point-
  *     per-node "node" reference tree, micro (build / query / insert-
- *     heavy) and end-to-end on the five NN-heavy kernels via --nn.
+ *     heavy), calling both trees directly. The kernels run the bucket
+ *     engine only; the node tree is kept as the reference this axis
+ *     and the k-d tree tests compare against.
  *
  * Both engines return exactly identical hits under the (dist2, id)
  * tie-break contract; the bench asserts this on every micro workload.
@@ -184,87 +186,9 @@ microAt(std::size_t n, Rng &rng)
     return res;
 }
 
-/** End-to-end: one kernel under --nn node vs --nn bucket. */
-struct E2eResult
-{
-    std::string kernel;
-    double node_roi_s = 0.0;
-    double bucket_roi_s = 0.0;
-    /** Output metrics agree exactly between the two engines. */
-    bool identical = true;
-};
-
-/**
- * Kernel-output metrics that must be engine-independent. Timing
- * metrics (fractions, seconds) legitimately differ; everything
- * counting work or measuring solution quality must not.
- */
-const std::vector<std::string> kOutputMetrics = {
-    "path_cost_rad",   "path_cost_m",     "tree_size",
-    "samples",         "rewires",         "roadmap_nodes",
-    "roadmap_edges",   "mean_pose_error_m", "final_rmse_m",
-    "model_points",    "cost_before_rad", "cost_after_rad",
-    "shortcuts_applied",
-};
-
-/** Reduced-but-representative configs for the five NN-heavy kernels. */
-struct E2eRow
-{
-    const char *kernel;
-    std::vector<std::string> overrides;
-    /** Seeds to sum ROI over (planner instances are sub-ms; a sweep
-     *  covers easy and hard start/goal pairs and sheds timer noise). */
-    int n_seeds = 1;
-    /** Also vary --instance-seed (the arm kernels' start/goal draw). */
-    bool instance_seed = false;
-};
-
-const std::vector<E2eRow> kE2eRows = {
-    {"srec", {"--frames", "8"}, 2, false},
-    {"prm", {}, 6, true},
-    {"rrt", {}, 6, true},
-    {"rrtstar", {"--samples", "4000"}, 6, true},
-    {"rrtpp", {}, 6, true},
-};
-
-E2eResult
-e2eKernel(const E2eRow &row)
-{
-    E2eResult res;
-    res.kernel = row.kernel;
-    for (int seed = 1; seed <= row.n_seeds; ++seed) {
-        std::vector<std::string> base = row.overrides;
-        base.insert(base.end(), {"--seed", std::to_string(seed)});
-        if (row.instance_seed)
-            base.insert(base.end(),
-                        {"--instance-seed", std::to_string(seed)});
-        std::vector<std::string> node_args = base;
-        node_args.insert(node_args.end(), {"--nn", "node"});
-        std::vector<std::string> bucket_args = base;
-        bucket_args.insert(bucket_args.end(), {"--nn", "bucket"});
-
-        const KernelReport node_report =
-            runKernelWarm(row.kernel, node_args);
-        const KernelReport bucket_report =
-            runKernelWarm(row.kernel, bucket_args);
-        res.node_roi_s += node_report.roi_seconds;
-        res.bucket_roi_s += bucket_report.roi_seconds;
-        for (const std::string &m : kOutputMetrics) {
-            const bool in_node = node_report.metrics.count(m) != 0;
-            const bool in_bucket = bucket_report.metrics.count(m) != 0;
-            if (in_node != in_bucket ||
-                (in_node && node_report.metrics.at(m) !=
-                                bucket_report.metrics.at(m)))
-                res.identical = false;
-        }
-    }
-    return res;
-}
-
 void
 writeJson(const std::string &path,
-          const std::vector<MicroResult> &micro,
-          const std::vector<E2eResult> &e2e, bool all_identical)
+          const std::vector<MicroResult> &micro, bool all_identical)
 {
     std::ofstream file(path);
     if (!file) {
@@ -293,17 +217,6 @@ writeJson(const std::string &path,
         json.field("bucket_insert_nearest_us", m.bucket_insert_us);
         json.field("nearest_speedup", m.node_nn_us / m.bucket_nn_us);
         json.field("identical", m.identical);
-        json.endObject();
-    }
-    json.endArray();
-    json.beginArray("end_to_end");
-    for (const E2eResult &r : e2e) {
-        json.beginObject();
-        json.field("kernel", r.kernel);
-        json.field("node_roi_seconds", r.node_roi_s);
-        json.field("bucket_roi_seconds", r.bucket_roi_s);
-        json.field("speedup", r.node_roi_s / r.bucket_roi_s);
-        json.field("outputs_identical", r.identical);
         json.endObject();
     }
     json.endArray();
@@ -444,26 +357,8 @@ main(int argc, char **argv)
     }
     layout.print();
 
-    std::cout << "\n[3] end-to-end: the five NN-heavy kernels, "
-                 "--nn node vs --nn bucket (ROI summed over a seed "
-                 "sweep)\n";
-    Table e2e_table({"kernel", "node ROI ms", "bucket ROI ms", "speedup",
-                     "outputs identical"});
-    std::vector<E2eResult> e2e;
-    for (const E2eRow &row : kE2eRows) {
-        E2eResult r = e2eKernel(row);
-        e2e.push_back(r);
-        all_identical = all_identical && r.identical;
-        e2e_table.addRow({r.kernel, Table::num(r.node_roi_s * 1e3, 2),
-                          Table::num(r.bucket_roi_s * 1e3, 2),
-                          Table::num(r.node_roi_s / r.bucket_roi_s, 2) +
-                              "x",
-                          r.identical ? "yes" : "NO"});
-    }
-    e2e_table.print();
-
     if (!json_path.empty())
-        writeJson(json_path, micro, e2e, all_identical);
+        writeJson(json_path, micro, all_identical);
 
     if (!all_identical) {
         std::cerr << "\nFAIL: engines disagreed on some workload\n";

@@ -186,7 +186,7 @@ BM_MatrixMultiplyZeroSkip(benchmark::State &state)
 BENCHMARK(BM_MatrixMultiplyZeroSkip)->Arg(8)->Arg(15)->Arg(31);
 
 void
-matrixMultiplyFlagged(benchmark::State &state, bool simd)
+matrixMultiplyOnPath(benchmark::State &state, LinalgPath path)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
     Rng rng(5);
@@ -197,27 +197,30 @@ matrixMultiplyFlagged(benchmark::State &state, bool simd)
             b(r, c) = rng.uniform(-1, 1);
         }
     }
-    ScopedSimdKernels flag(simd);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(a * b);
+    Matrix out;
+    for (auto _ : state) {
+        gemm(a, b, out, 1.0, 0.0, path);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
 }
 
 void
 BM_GemmScalar(benchmark::State &state)
 {
-    matrixMultiplyFlagged(state, false);
+    matrixMultiplyOnPath(state, LinalgPath::Scalar);
 }
 BENCHMARK(BM_GemmScalar)->Arg(8)->Arg(15)->Arg(35)->Arg(96);
 
 void
 BM_GemmSimd(benchmark::State &state)
 {
-    matrixMultiplyFlagged(state, true);
+    matrixMultiplyOnPath(state, LinalgPath::Simd);
 }
 BENCHMARK(BM_GemmSimd)->Arg(8)->Arg(15)->Arg(35)->Arg(96);
 
 void
-choleskyFlagged(benchmark::State &state, bool simd)
+choleskyOnPath(benchmark::State &state, LinalgPath path)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
     Rng rng(6);
@@ -231,9 +234,8 @@ choleskyFlagged(benchmark::State &state, bool simd)
     Matrix rhs(n, 1);
     for (std::size_t i = 0; i < n; ++i)
         rhs(i, 0) = rng.uniform(-1, 1);
-    ScopedSimdKernels flag(simd);
     for (auto _ : state) {
-        CholeskyDecomposition chol(spd);
+        CholeskyDecomposition chol(spd, path);
         benchmark::DoNotOptimize(chol.solve(rhs));
     }
 }
@@ -241,14 +243,14 @@ choleskyFlagged(benchmark::State &state, bool simd)
 void
 BM_CholeskyScalar(benchmark::State &state)
 {
-    choleskyFlagged(state, false);
+    choleskyOnPath(state, LinalgPath::Scalar);
 }
 BENCHMARK(BM_CholeskyScalar)->Arg(8)->Arg(16)->Arg(50);
 
 void
 BM_CholeskySimd(benchmark::State &state)
 {
-    choleskyFlagged(state, true);
+    choleskyOnPath(state, LinalgPath::Simd);
 }
 BENCHMARK(BM_CholeskySimd)->Arg(8)->Arg(16)->Arg(50);
 
@@ -482,11 +484,11 @@ bestOf(int reps, F &&body)
 
 /**
  * --json mode, dense-linalg block: time the GEMM and Cholesky
- * micro-kernels scalar vs SIMD across the EKF/GP-relevant size range,
- * assert bitwise identity at every size, rerun the two matrix-bound
- * kernels end-to-end under --simd 0/1, and write BENCH_gemm.json so
- * future PRs can track GFLOP/s and kernel ROI seconds. Returns nonzero
- * if any scalar/SIMD pair differs bitwise.
+ * micro-kernels, the scalar reference (multiplyScalar,
+ * LinalgPath::Scalar) vs the production SIMD path, across the
+ * EKF/GP-relevant size range, assert bitwise identity at every size,
+ * and write BENCH_gemm.json so future PRs can track GFLOP/s. Returns
+ * nonzero if any scalar/SIMD pair differs bitwise.
  */
 int
 writeGemmBaseline(const std::string &path)
@@ -522,22 +524,15 @@ writeGemmBaseline(const std::string &path)
         const int iters = static_cast<int>(
             std::max<std::size_t>(1, 3000000 / (n * n * n)));
         Matrix out;
-        double scalar_sec, simd_sec;
-        {
-            ScopedSimdKernels off(false);
-            scalar_sec = bestOf(reps, [&] {
-                for (int i = 0; i < iters; ++i)
-                    out = a * b;
-            }) / iters;
-        }
+        const double scalar_sec = bestOf(reps, [&] {
+            for (int i = 0; i < iters; ++i)
+                out = a.multiplyScalar(b);
+        }) / iters;
         const Matrix scalar_out = out;
-        {
-            ScopedSimdKernels on(true);
-            simd_sec = bestOf(reps, [&] {
-                for (int i = 0; i < iters; ++i)
-                    out = a * b;
-            }) / iters;
-        }
+        const double simd_sec = bestOf(reps, [&] {
+            for (int i = 0; i < iters; ++i)
+                out = a * b;
+        }) / iters;
         const bool identical =
             std::memcmp(scalar_out.data(), out.data(),
                         sizeof(double) * n * n) == 0;
@@ -573,28 +568,19 @@ writeGemmBaseline(const std::string &path)
         const int iters = static_cast<int>(
             std::max<std::size_t>(1, 1000000 / (n * n * n)));
         Matrix x;
-        double scalar_sec, simd_sec;
-        Matrix scalar_l, scalar_x;
-        {
-            ScopedSimdKernels off(false);
-            scalar_sec = bestOf(reps, [&] {
+        auto factorSolve = [&](LinalgPath path) {
+            return bestOf(reps, [&] {
                 for (int i = 0; i < iters; ++i) {
-                    CholeskyDecomposition chol(spd);
+                    CholeskyDecomposition chol(spd, path);
                     chol.solveInto(rhs, x);
                 }
             }) / iters;
-            scalar_l = CholeskyDecomposition(spd).lower();
-            scalar_x = x;
-        }
-        {
-            ScopedSimdKernels on(true);
-            simd_sec = bestOf(reps, [&] {
-                for (int i = 0; i < iters; ++i) {
-                    CholeskyDecomposition chol(spd);
-                    chol.solveInto(rhs, x);
-                }
-            }) / iters;
-        }
+        };
+        const double scalar_sec = factorSolve(LinalgPath::Scalar);
+        const Matrix scalar_l =
+            CholeskyDecomposition(spd, LinalgPath::Scalar).lower();
+        const Matrix scalar_x = x;
+        const double simd_sec = factorSolve(LinalgPath::Simd);
         const Matrix simd_l = CholeskyDecomposition(spd).lower();
         const bool identical =
             std::memcmp(scalar_l.data(), simd_l.data(),
@@ -616,42 +602,6 @@ writeGemmBaseline(const std::string &path)
     }
     json.endArray();
 
-    // End-to-end: the two kernels whose ROI is ~entirely dense linalg.
-    // bo runs with 5000 candidates (vs the default 25000) to keep the
-    // baseline pass quick; acquisition still dominates its ROI.
-    struct E2E
-    {
-        const char *kernel;
-        std::vector<std::string> overrides;
-    };
-    const E2E runs[] = {
-        {"ekfslam", {"--landmarks", "16", "--steps", "400"}},
-        {"bo", {"--iterations", "45", "--candidates", "5000"}},
-    };
-    json.beginArray("end_to_end");
-    for (const E2E &run : runs) {
-        std::vector<std::string> scalar_args = run.overrides;
-        scalar_args.insert(scalar_args.end(), {"--simd", "0"});
-        std::vector<std::string> simd_args = run.overrides;
-        simd_args.insert(simd_args.end(), {"--simd", "1"});
-        const KernelReport scalar_report =
-            rtr::bench::runKernelWarm(run.kernel, scalar_args);
-        const KernelReport simd_report =
-            rtr::bench::runKernelWarm(run.kernel, simd_args);
-        json.beginObject();
-        json.field("kernel", run.kernel);
-        json.field("scalar_roi_seconds", scalar_report.roi_seconds);
-        json.field("simd_roi_seconds", simd_report.roi_seconds);
-        json.field("speedup",
-                   scalar_report.roi_seconds / simd_report.roi_seconds);
-        json.endObject();
-        std::cout << "  " << run.kernel << ": "
-                  << scalar_report.roi_seconds << " -> "
-                  << simd_report.roi_seconds << " s ROI ("
-                  << scalar_report.roi_seconds / simd_report.roi_seconds
-                  << "x)\n";
-    }
-    json.endArray();
     json.field("bitwise_identical", all_identical);
     json.endObject();
     std::cout << "  wrote " << path << "\n";
@@ -661,11 +611,13 @@ writeGemmBaseline(const std::string &path)
 } // namespace
 
 /**
- * Custom main: `bench_micro --json [raycast_path [gemm_path]]` emits
- * the ray-cast baseline (default BENCH_raycast.json) and the dense-
- * linalg baseline (default BENCH_gemm.json) and exits; anything else
- * is handed to google-benchmark unchanged (after the shared harness
- * strips --trace/--counters).
+ * Custom main: `bench_micro --json [path ...]` writes the baselines
+ * named on the command line and exits. A path whose file name contains
+ * "raycast" receives the ray-cast baseline, one containing "gemm" the
+ * dense-linalg baseline; with no path, both go to their default files
+ * (BENCH_raycast.json, BENCH_gemm.json). Anything else is handed to
+ * google-benchmark unchanged (after the shared harness strips
+ * --trace/--counters).
  */
 int
 main(int argc, char **argv)
@@ -678,17 +630,28 @@ main(int argc, char **argv)
             // ReportUnrecognizedArguments); reject anything that is
             // not the --json flag and its positional paths.
             rtr::bench::requireKnownOptions(
-                argc, argv, {"--json [raycast.json [gemm.json]]"});
-            std::string raycast_path = "BENCH_raycast.json";
-            std::string gemm_path = "BENCH_gemm.json";
-            if (i + 1 < argc && argv[i + 1][0] != '-') {
-                raycast_path = argv[i + 1];
-                if (i + 2 < argc && argv[i + 2][0] != '-')
-                    gemm_path = argv[i + 2];
+                argc, argv, {"--json [raycast.json] [gemm.json]"});
+            std::vector<std::string> paths;
+            for (int j = i + 1; j < argc && argv[j][0] != '-'; ++j)
+                paths.push_back(argv[j]);
+            if (paths.empty())
+                paths = {"BENCH_raycast.json", "BENCH_gemm.json"};
+            int rc = 0;
+            for (const std::string &path : paths) {
+                const std::string name =
+                    path.substr(path.find_last_of('/') + 1);
+                int path_rc = 1;
+                if (name.find("raycast") != std::string::npos)
+                    path_rc = writeRaycastBaseline(path);
+                else if (name.find("gemm") != std::string::npos)
+                    path_rc = writeGemmBaseline(path);
+                else
+                    std::cerr << "--json: '" << path << "' names neither "
+                              << "baseline (its file name must contain "
+                              << "'raycast' or 'gemm')\n";
+                rc = rc ? rc : path_rc;
             }
-            const int raycast_rc = writeRaycastBaseline(raycast_path);
-            const int gemm_rc = writeGemmBaseline(gemm_path);
-            return raycast_rc ? raycast_rc : gemm_rc;
+            return rc;
         }
     }
     benchmark::Initialize(&argc, argv);

@@ -63,7 +63,7 @@ class ThrowSampleEvaluator final : public CemSampleEvaluator
 {
   public:
     ThrowSampleEvaluator(const BallThrowEnv &env, bool with_trace,
-                         BatchEngine engine = defaultBatchEngine())
+                         BatchEngine engine = BatchEngine::Soa)
         : env_(env), with_trace_(with_trace), engine_(engine)
     {
     }

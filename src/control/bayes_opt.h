@@ -43,7 +43,7 @@ struct BoConfig
      * order before scoring under both engines (the RNG staging
      * contract, DESIGN.md "Batched environments").
      */
-    BatchEngine batch_engine = defaultBatchEngine();
+    BatchEngine batch_engine = BatchEngine::Soa;
     /** GP hyperparameters. */
     GpConfig gp;
 };

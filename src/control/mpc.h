@@ -58,7 +58,7 @@ struct MpcConfig
      * rollouts of each horizon coordinate into SIMD lanes, scalar runs
      * them one at a time (bitwise-identical solutions either way).
      */
-    BatchEngine batch_engine = defaultBatchEngine();
+    BatchEngine batch_engine = BatchEngine::Soa;
 };
 
 /** One MPC solve's outcome. */

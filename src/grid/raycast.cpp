@@ -4,7 +4,6 @@
 #include <climits>
 #include <cmath>
 
-#include "util/env_engine.h"
 #include "util/parallel.h"
 
 namespace rtr {
@@ -218,20 +217,6 @@ parseRayEngine(std::string_view name, RayEngine &out)
         return true;
     }
     return false;
-}
-
-RayEngine
-defaultRayEngine()
-{
-    // Hierarchical unless RTR_RAYCAST overrides: hier loses wall-clock
-    // to scalar on this host's benchmark maps (prefetcher-fed probes,
-    // short pyramid strides — see EXPERIMENTS.md "Ray-cast engine"),
-    // but its probe elision is what pays on the cache-constrained
-    // targets the paper studies.
-    static const RayEngine engine = engineFromEnv(
-        "RTR_RAYCAST", RayEngine::Hierarchical, parseRayEngine,
-        "hier or scalar");
-    return engine;
 }
 
 void

@@ -54,17 +54,18 @@ const char *rayEngineName(RayEngine engine);
 bool parseRayEngine(std::string_view name, RayEngine &out);
 
 /**
- * Process-wide default engine: hierarchical, unless the RTR_RAYCAST
- * environment variable names the scalar engine (read once). Hier loses
- * wall-clock to scalar on this host's benchmark maps (EXPERIMENTS.md
- * "Ray-cast engine" has the sweep); it remains the default because its
- * probe elision is the quantity that converts to time on the
- * cache-constrained targets the paper studies. An RTR_RAYCAST value
- * that is not 'hier' or 'scalar' exits with status 2 (see
- * util/env_engine.h). Explicit --raycast flags override the default
- * per run.
+ * The production engine: hierarchical. Hier loses wall-clock to scalar
+ * on this suite's small benchmark maps (EXPERIMENTS.md "Ray-cast
+ * engine" has the sweep); it remains the default because its probe
+ * elision is the quantity that converts to time on the cache-
+ * constrained targets the paper studies. Explicit --raycast flags and
+ * engine arguments pick the scalar engine per run.
  */
-RayEngine defaultRayEngine();
+constexpr RayEngine
+defaultRayEngine()
+{
+    return RayEngine::Hierarchical;
+}
 
 /** Traversal counters for one or more casts (diagnostics/benchmarks). */
 struct RayCastStats

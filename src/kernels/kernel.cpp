@@ -2,7 +2,6 @@
 
 #include <fstream>
 
-#include "linalg/matrix.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
@@ -26,41 +25,9 @@ applyThreadsOption(const ArgParser &args)
 }
 
 void
-addSimdOption(ArgParser &parser)
-{
-    parser.addOption("simd", "1",
-                     "Dense-linalg kernels: 1 = SIMD micro-kernels, "
-                     "0 = scalar reference (bitwise-identical results)");
-}
-
-void
-applySimdOption(const ArgParser &args)
-{
-    setSimdKernelsEnabled(args.getInt("simd") != 0);
-}
-
-void
-addNnOption(ArgParser &parser)
-{
-    parser.addOption("nn", nnEngineName(defaultNnEngine()),
-                     "NN engine: bucket = leaf-bucketed SoA k-d tree, "
-                     "node = reference tree (identical results)");
-}
-
-NnEngine
-nnEngineFromArgs(const ArgParser &args)
-{
-    NnEngine engine = defaultNnEngine();
-    const std::string name = args.get("nn");
-    if (!parseNnEngine(name, engine))
-        fatal("--nn must be 'bucket' or 'node', got '", name, "'");
-    return engine;
-}
-
-void
 addBatchOption(ArgParser &parser)
 {
-    parser.addOption("batch", batchEngineName(defaultBatchEngine()),
+    parser.addOption("batch", batchEngineName(BatchEngine::Soa),
                      "Rollout engine: soa = SIMD across environments, "
                      "scalar = reference (identical results)");
 }
@@ -68,29 +35,10 @@ addBatchOption(ArgParser &parser)
 BatchEngine
 batchEngineFromArgs(const ArgParser &args)
 {
-    BatchEngine engine = defaultBatchEngine();
+    BatchEngine engine = BatchEngine::Soa;
     const std::string name = args.get("batch");
     if (!parseBatchEngine(name, engine))
         fatal("--batch must be 'soa' or 'scalar', got '", name, "'");
-    return engine;
-}
-
-void
-addSearchOption(ArgParser &parser)
-{
-    parser.addOption("search", searchEngineName(defaultSearchEngine()),
-                     "Graph-search engine: flat = SoA pools + epoch "
-                     "stamps + 4-ary heap, heap = reference binary "
-                     "heap (identical results)");
-}
-
-SearchEngine
-searchEngineFromArgs(const ArgParser &args)
-{
-    SearchEngine engine = defaultSearchEngine();
-    const std::string name = args.get("search");
-    if (!parseSearchEngine(name, engine))
-        fatal("--search must be 'flat' or 'heap', got '", name, "'");
     return engine;
 }
 

@@ -16,8 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "pointcloud/nn_engine.h"
-#include "search/search_engine.h"
 #include "util/args.h"
 #include "util/batch_engine.h"
 #include "util/profiler.h"
@@ -47,57 +45,20 @@ void addThreadsOption(ArgParser &parser);
 void applyThreadsOption(const ArgParser &args);
 
 /**
- * Register the standard --simd option shared by the dense-linalg-bound
- * kernels (ekfslam, bo, srec): 1 = SIMD micro-kernels (the default),
- * 0 = the preserved scalar reference paths. The two are bitwise
- * identical for GEMM/factorization (DESIGN.md "Dense linear algebra");
- * the switch exists for scalar/SIMD A/B timing on one binary.
- */
-void addSimdOption(ArgParser &parser);
-
-/** Apply a parsed --simd value to the linalg dispatch flag. */
-void applySimdOption(const ArgParser &args);
-
-/**
- * Register the standard --nn option shared by the nearest-neighbor-bound
- * kernels (srec, prm, rrt, rrtstar, rrtpp): "bucket" = leaf-bucketed SoA
- * k-d tree (the default), "node" = the preserved one-point-per-node
- * reference tree. Both return exactly identical hits under the
- * (dist2, id) tie-break (DESIGN.md "Nearest-neighbor engine"); the
- * switch exists for engine A/B timing on one binary.
- */
-void addNnOption(ArgParser &parser);
-
-/** Parse the --nn value to an engine; fatal() on anything unknown. */
-NnEngine nnEngineFromArgs(const ArgParser &args);
-
-/**
  * Register the standard --batch option shared by the Monte-Carlo
  * rollout kernels (cem, mpc, bo, pfl): "soa" = SIMD-across-environments
  * batch engine (the default), "scalar" = the preserved one-environment-
  * at-a-time reference. Rewards, traces, states and particle weights
  * are bitwise identical either way (DESIGN.md "Batched environments");
- * the switch exists for engine A/B timing on one binary.
+ * the switch exists for engine A/B timing on one binary. It is the one
+ * engine option besides pfl's --raycast: every other layer runs its
+ * single production engine, and its reference survives only as a test
+ * oracle.
  */
 void addBatchOption(ArgParser &parser);
 
 /** Parse the --batch value to an engine; fatal() on anything unknown. */
 BatchEngine batchEngineFromArgs(const ArgParser &args);
-
-/**
- * Register the standard --search option shared by the graph-search-bound
- * kernels (pp2d, pp3d, prm, movtar). It picks the node store and open
- * list of the one best-first loop: "flat" = reusable epoch-stamped
- * workspaces + 4-ary open list (the default), "heap" = the reference
- * per-query stores + binary open list. Paths, costs, expansions and
- * open-list statistics are identical either way (DESIGN.md
- * "Graph-search engine"); the switch exists for engine A/B timing on
- * one binary. RTR_SEARCH flips the default process-wide.
- */
-void addSearchOption(ArgParser &parser);
-
-/** Parse the --search value to an engine; fatal() on anything unknown. */
-SearchEngine searchEngineFromArgs(const ArgParser &args);
 
 /** Result of one kernel run. */
 struct KernelReport

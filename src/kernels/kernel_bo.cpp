@@ -17,7 +17,6 @@ BoKernel::addOptions(ArgParser &parser) const
     parser.addOption("goal", "5.0", "Throw goal distance (m)");
     parser.addOption("seed", "1", "Random seed");
     addThreadsOption(parser);
-    addSimdOption(parser);
     addBatchOption(parser);
 }
 
@@ -26,7 +25,6 @@ BoKernel::run(const ArgParser &args) const
 {
     KernelReport report;
     applyThreadsOption(args);
-    applySimdOption(args);
     BallThrowEnv env(args.getDouble("goal"));
 
     BoConfig config;

@@ -18,14 +18,12 @@ EkfSlamKernel::addOptions(ArgParser &parser) const
     parser.addOption("velocity", "1.2", "Robot linear velocity (m/s)");
     parser.addOption("omega", "0.18", "Robot angular velocity (rad/s)");
     parser.addOption("seed", "1", "Random seed");
-    addSimdOption(parser);
 }
 
 KernelReport
 EkfSlamKernel::run(const ArgParser &args) const
 {
     KernelReport report;
-    applySimdOption(args);
     const int n_landmarks = static_cast<int>(args.getInt("landmarks"));
     const int steps = static_cast<int>(args.getInt("steps"));
     const double dt = args.getDouble("dt");

@@ -43,7 +43,6 @@ MovtarKernel::addOptions(ArgParser &parser) const
                      "Known target trajectory length");
     parser.addOption("epsilon", "2.0", "WA* heuristic inflation");
     parser.addOption("seed", "1", "Random seed");
-    addSearchOption(parser);
 }
 
 KernelReport
@@ -63,7 +62,6 @@ MovtarKernel::run(const ArgParser &args) const
         static_cast<int>(args.getInt("trajectory-steps")), seed * 13 + 7);
     problem.robot_start = findPassable(field, 0.1, 0.1);
     problem.epsilon = args.getDouble("epsilon");
-    problem.search_engine = searchEngineFromArgs(args);
 
     // ---- Planning, including the heuristic build (the ROI) ----
     Stopwatch roi_timer;

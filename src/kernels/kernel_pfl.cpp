@@ -74,8 +74,7 @@ PflKernel::addOptions(ArgParser &parser) const
     parser.addOption("raycast", rayEngineName(defaultRayEngine()),
                      "Ray-cast engine: hier (pyramid empty-region "
                      "skipping) or scalar (probe every cell); ranges and "
-                     "weights are bitwise identical across engines. "
-                     "Default honours RTR_RAYCAST");
+                     "weights are bitwise identical across engines");
     parser.addFlag("global", "Initialize uniformly over the whole map");
     addThreadsOption(parser);
     addBatchOption(parser);

@@ -50,7 +50,6 @@ Pp2dKernel::addOptions(ArgParser &parser) const
     parser.addOption("car-width", "1.8", "Car width (m)");
     parser.addOption("epsilon", "1.0", "Heuristic weight (1 = A*)");
     parser.addOption("seed", "1", "Random seed");
-    addSearchOption(parser);
 }
 
 KernelReport
@@ -69,7 +68,7 @@ Pp2dKernel::run(const ArgParser &args) const
 
     RectFootprint footprint(args.getDouble("car-length"),
                             args.getDouble("car-width"));
-    GridPlanner2D planner(map, &footprint, searchEngineFromArgs(args));
+    GridPlanner2D planner(map, &footprint);
 
     // Long diagonal route: "the car traverses a long distance,
     // observing different obstacle patterns".

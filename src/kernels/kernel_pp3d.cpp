@@ -48,7 +48,6 @@ Pp3dKernel::addOptions(ArgParser &parser) const
     parser.addOption("resolution", "1.0", "Resolution (m/cell)");
     parser.addOption("epsilon", "1.0", "Heuristic weight (1 = A*)");
     parser.addOption("seed", "1", "Random seed");
-    addSearchOption(parser);
 }
 
 KernelReport
@@ -68,7 +67,7 @@ Pp3dKernel::run(const ArgParser &args) const
     Cell3 start = findFreeCell(map, 0.03, 0.03, 0.15);
     Cell3 goal = findFreeCell(map, 0.97, 0.97, 0.15);
 
-    GridPlanner3D planner(map, searchEngineFromArgs(args));
+    GridPlanner3D planner(map);
 
     // ---- Planning (the ROI) ----
     Stopwatch roi_timer;

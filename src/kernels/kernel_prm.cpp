@@ -15,8 +15,6 @@ PrmKernel::addOptions(ArgParser &parser) const
     parser.addOption("neighbors", "10", "k nearest connections/sample");
     parser.addOption("edge-length", "1.2", "Max edge length (rad, L2)");
     addThreadsOption(parser);
-    addNnOption(parser);
-    addSearchOption(parser);
 }
 
 KernelReport
@@ -31,8 +29,6 @@ PrmKernel::run(const ArgParser &args) const
     config.k_neighbors =
         static_cast<std::size_t>(args.getInt("neighbors"));
     config.max_edge_length = args.getDouble("edge-length");
-    config.nn_engine = nnEngineFromArgs(args);
-    config.search_engine = searchEngineFromArgs(args);
 
     PrmPlanner planner(problem.space, *problem.checker, config);
 

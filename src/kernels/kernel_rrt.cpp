@@ -16,7 +16,6 @@ RrtKernel::addOptions(ArgParser &parser) const
     parser.addOption("bias", "0.05", "Random number generation bias");
     parser.addOption("no-kdtree", "0",
                      "1 = brute-force nearest neighbors");
-    addNnOption(parser);
 }
 
 KernelReport
@@ -30,7 +29,6 @@ RrtKernel::run(const ArgParser &args) const
     config.step_size = args.getDouble("epsilon");
     config.goal_bias = args.getDouble("bias");
     config.use_kdtree = args.getInt("no-kdtree") == 0;
-    config.nn_engine = nnEngineFromArgs(args);
 
     RrtPlanner planner(problem.space, *problem.checker, config);
     Rng rng(static_cast<std::uint64_t>(args.getInt("seed")));

@@ -17,7 +17,6 @@ RrtPpKernel::addOptions(ArgParser &parser) const
     parser.addOption("bias", "0.05", "Random number generation bias");
     parser.addOption("shortcut-iterations", "200",
                      "Shortcut attempts in post-processing");
-    addNnOption(parser);
 }
 
 KernelReport
@@ -30,7 +29,6 @@ RrtPpKernel::run(const ArgParser &args) const
     config.max_samples = static_cast<std::size_t>(args.getInt("samples"));
     config.step_size = args.getDouble("epsilon");
     config.goal_bias = args.getDouble("bias");
-    config.nn_engine = nnEngineFromArgs(args);
 
     ShortcutConfig shortcut_config;
     shortcut_config.iterations =

@@ -18,7 +18,6 @@ RrtStarKernel::addOptions(ArgParser &parser) const
     parser.addFlag("refine",
                    "Spend the full sample budget refining the path "
                    "instead of stopping at the first solution");
-    addNnOption(parser);
 }
 
 KernelReport
@@ -32,7 +31,6 @@ RrtStarKernel::run(const ArgParser &args) const
     config.step_size = args.getDouble("epsilon");
     config.goal_bias = args.getDouble("bias");
     config.rewire_radius = args.getDouble("radius");
-    config.nn_engine = nnEngineFromArgs(args);
     if (args.getFlag("refine"))
         config.refine_factor = 1e18;
 

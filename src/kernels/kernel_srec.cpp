@@ -19,8 +19,6 @@ SrecKernel::addOptions(ArgParser &parser) const
     parser.addOption("icp-iterations", "25", "Max ICP iterations/frame");
     parser.addOption("seed", "1", "Random seed");
     addThreadsOption(parser);
-    addSimdOption(parser);
-    addNnOption(parser);
 }
 
 KernelReport
@@ -28,7 +26,6 @@ SrecKernel::run(const ArgParser &args) const
 {
     KernelReport report;
     applyThreadsOption(args);
-    applySimdOption(args);
     const int frames = static_cast<int>(args.getInt("frames"));
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed"));
 
@@ -50,7 +47,6 @@ SrecKernel::run(const ArgParser &args) const
     config.icp.max_iterations =
         static_cast<int>(args.getInt("icp-iterations"));
     config.icp.max_correspondence_distance = 0.5;
-    config.icp.nn_engine = nnEngineFromArgs(args);
 
     // ---- Reconstruction (the ROI) ----
     SceneReconstructor reconstructor(config);

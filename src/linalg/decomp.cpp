@@ -69,8 +69,9 @@ scaleRow(double *dst, double s, std::size_t m, bool use_simd)
 
 } // namespace
 
-LuDecomposition::LuDecomposition(const Matrix &a)
-    : n_(a.rows()), lu_(a), pivot_(a.rows())
+LuDecomposition::LuDecomposition(const Matrix &a, LinalgPath path)
+    : n_(a.rows()), use_simd_(path == LinalgPath::Simd), lu_(a),
+      pivot_(a.rows())
 {
     RTR_ASSERT(a.rows() == a.cols(), "LU of non-square matrix");
     for (std::size_t i = 0; i < n_; ++i)
@@ -103,7 +104,6 @@ LuDecomposition::LuDecomposition(const Matrix &a)
         // bitwise. The whole-row zero-skip is kept: it fires for
         // structured inputs (block-diagonal normal equations) and
         // skipping a row is exact.
-        const bool use_simd = simdKernelsEnabled();
         double inv_pivot = 1.0 / lu_(col, col);
         const double *pivot_row = lu_.data() + col * n_ + col + 1;
         for (std::size_t r = col + 1; r < n_; ++r) {
@@ -112,7 +112,7 @@ LuDecomposition::LuDecomposition(const Matrix &a)
             if (factor == 0.0)
                 continue;
             subScaledRow(lu_.data() + r * n_ + col + 1, pivot_row, factor,
-                         n_ - col - 1, use_simd);
+                         n_ - col - 1, use_simd_);
         }
     }
 }
@@ -123,7 +123,6 @@ LuDecomposition::solve(const Matrix &b) const
     RTR_ASSERT(b.rows() == n_, "solve rhs row mismatch");
     RTR_ASSERT(!singular_, "solve with singular matrix");
     const std::size_t m = b.cols();
-    const bool use_simd = simdKernelsEnabled();
     Matrix x(n_, m);
     // Apply row permutation.
     for (std::size_t r = 0; r < n_; ++r) {
@@ -139,7 +138,7 @@ LuDecomposition::solve(const Matrix &b) const
             if (factor == 0.0)
                 continue;
             subScaledRow(x.data() + r * m, x.data() + k * m, factor, m,
-                         use_simd);
+                         use_simd_);
         }
     }
     // Backward substitution with U.
@@ -149,10 +148,10 @@ LuDecomposition::solve(const Matrix &b) const
             if (factor == 0.0)
                 continue;
             subScaledRow(x.data() + ri * m, x.data() + k * m, factor, m,
-                         use_simd);
+                         use_simd_);
         }
         double inv = 1.0 / lu_(ri, ri);
-        scaleRow(x.data() + ri * m, inv, m, use_simd);
+        scaleRow(x.data() + ri * m, inv, m, use_simd_);
     }
     return x;
 }
@@ -174,11 +173,12 @@ LuDecomposition::determinant() const
     return det;
 }
 
-CholeskyDecomposition::CholeskyDecomposition(const Matrix &a)
-    : n_(a.rows()), l_(a.rows(), a.rows())
+CholeskyDecomposition::CholeskyDecomposition(const Matrix &a, LinalgPath path)
+    : n_(a.rows()), use_simd_(path == LinalgPath::Simd),
+      l_(a.rows(), a.rows())
 {
     RTR_ASSERT(a.rows() == a.cols(), "Cholesky of non-square matrix");
-    if (simdKernelsEnabled())
+    if (use_simd_)
         factorSimd(a);
     else
         factorScalar(a);
@@ -315,7 +315,6 @@ CholeskyDecomposition::solveInto(const Matrix &b, Matrix &x) const
     if (&x != &b)
         x = b;
     const std::size_t m = x.cols();
-    const bool use_simd = simdKernelsEnabled();
     double *xp = x.data();
     const double *l = l_.data();
     if (m == 1) {
@@ -327,29 +326,29 @@ CholeskyDecomposition::solveInto(const Matrix &b, Matrix &x) const
         for (std::size_t k = 0; k < n_; ++k) {
             xp[k] *= 1.0 / l[k * n_ + k];
             subScaledVec(xp + k + 1, lt + k * n_ + k + 1, xp[k],
-                         n_ - k - 1, use_simd);
+                         n_ - k - 1, use_simd_);
         }
         // Backward: Lᵀ x = y, right-looking (k descending).
         for (std::size_t k = n_; k-- > 0;) {
             xp[k] *= 1.0 / l[k * n_ + k];
-            subScaledVec(xp, l + k * n_, xp[k], k, use_simd);
+            subScaledVec(xp, l + k * n_, xp[k], k, use_simd_);
         }
     } else {
         // Matrix right-hand side: vectorize across the contiguous
         // columns of each row.
         // Forward: L y = b, right-looking.
         for (std::size_t k = 0; k < n_; ++k) {
-            scaleRow(xp + k * m, 1.0 / l[k * n_ + k], m, use_simd);
+            scaleRow(xp + k * m, 1.0 / l[k * n_ + k], m, use_simd_);
             for (std::size_t r = k + 1; r < n_; ++r)
                 subScaledRow(xp + r * m, xp + k * m, l[r * n_ + k], m,
-                             use_simd);
+                             use_simd_);
         }
         // Backward: Lᵀ x = y, right-looking (k descending).
         for (std::size_t k = n_; k-- > 0;) {
-            scaleRow(xp + k * m, 1.0 / l[k * n_ + k], m, use_simd);
+            scaleRow(xp + k * m, 1.0 / l[k * n_ + k], m, use_simd_);
             for (std::size_t r = 0; r < k; ++r)
                 subScaledRow(xp + r * m, xp + k * m, l[k * n_ + r], m,
-                             use_simd);
+                             use_simd_);
         }
     }
 }

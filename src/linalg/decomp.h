@@ -18,13 +18,17 @@ namespace rtr {
  * LU decomposition with partial pivoting (PA = LU).
  *
  * Construction factors the matrix once; solve()/inverse() reuse the
- * factorization.
+ * factorization. Elimination and substitution run the SIMD row
+ * kernels; LinalgPath::Scalar selects the preserved scalar loops (the
+ * test oracle), bitwise identical by contract.
  */
 class LuDecomposition
 {
   public:
-    /** Factor a square matrix. Singular inputs set singular() true. */
-    explicit LuDecomposition(const Matrix &a);
+    /** Factor a square matrix. Singular inputs set singular() true.
+     *  @p path also applies to every later solve()/inverse(). */
+    explicit LuDecomposition(const Matrix &a,
+                             LinalgPath path = LinalgPath::Simd);
 
     /** Whether the matrix was detected as (numerically) singular. */
     bool singular() const { return singular_; }
@@ -40,6 +44,7 @@ class LuDecomposition
 
   private:
     std::size_t n_;
+    bool use_simd_;
     Matrix lu_;
     std::vector<std::size_t> pivot_;
     int pivot_sign_ = 1;
@@ -51,10 +56,11 @@ class LuDecomposition
  * matrix. Used by the Gaussian-process substrate of the BO kernel.
  *
  * The factorization and both substitution passes have SIMD and scalar
- * implementations selected at runtime by simdKernelsEnabled(); the two
- * are bitwise identical by contract (see DESIGN.md "Dense linear
- * algebra"). Both substitution passes are right-looking so they
- * vectorize for single-column right-hand sides; the backward pass
+ * implementations, chosen per decomposition by its LinalgPath (SIMD
+ * unless a test asks for the scalar oracle); the two are bitwise
+ * identical by contract (see DESIGN.md "Dense linear algebra"). Both
+ * substitution passes are right-looking so they vectorize for
+ * single-column right-hand sides; the backward pass
  * therefore accumulates its per-element terms in descending k order,
  * which differs from the historical ascending order by ordinary
  * floating-point rounding only.
@@ -62,8 +68,10 @@ class LuDecomposition
 class CholeskyDecomposition
 {
   public:
-    /** Factor an SPD matrix. Non-SPD inputs set failed() true. */
-    explicit CholeskyDecomposition(const Matrix &a);
+    /** Factor an SPD matrix. Non-SPD inputs set failed() true.
+     *  @p path also applies to every later solve(). */
+    explicit CholeskyDecomposition(const Matrix &a,
+                                   LinalgPath path = LinalgPath::Simd);
 
     /** Whether factorization failed (matrix not positive-definite). */
     bool failed() const { return failed_; }
@@ -88,6 +96,7 @@ class CholeskyDecomposition
     void factorSimd(const Matrix &a);
 
     std::size_t n_;
+    bool use_simd_;
     Matrix l_;
     Matrix lt_; // Lᵀ, kept for contiguous single-RHS forward solves
     bool failed_ = false;

@@ -18,20 +18,17 @@ namespace {
  * vectorized form is bitwise identical to it.
  */
 inline void
-rotateRows(double *x, double *y, double c, double s, std::size_t n,
-           bool use_simd)
+rotateRows(double *x, double *y, double c, double s, std::size_t n)
 {
     using simd::VecD;
+    const VecD vc = VecD::broadcast(c);
+    const VecD vs = VecD::broadcast(s);
     std::size_t k = 0;
-    if (use_simd) {
-        const VecD vc = VecD::broadcast(c);
-        const VecD vs = VecD::broadcast(s);
-        for (; k + VecD::kWidth <= n; k += VecD::kWidth) {
-            const VecD xv = VecD::load(x + k);
-            const VecD yv = VecD::load(y + k);
-            (vc * xv - vs * yv).store(x + k);
-            (vs * xv + vc * yv).store(y + k);
-        }
+    for (; k + VecD::kWidth <= n; k += VecD::kWidth) {
+        const VecD xv = VecD::load(x + k);
+        const VecD yv = VecD::load(y + k);
+        (vc * xv - vs * yv).store(x + k);
+        (vs * xv + vc * yv).store(y + k);
     }
     for (; k < n; ++k) {
         const double xk = x[k], yk = y[k];
@@ -80,8 +77,7 @@ symmetricEigen(const Matrix &input, int max_sweeps)
                 // Rows p and q are contiguous; the column updates above
                 // and the eigenvector update below are strided and stay
                 // scalar.
-                rotateRows(a.data() + p * n, a.data() + q * n, c, s, n,
-                           simdKernelsEnabled());
+                rotateRows(a.data() + p * n, a.data() + q * n, c, s, n);
                 for (std::size_t k = 0; k < n; ++k) {
                     double vkp = v(k, p), vkq = v(k, q);
                     v(k, p) = c * vkp - s * vkq;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 #include <vector>
@@ -23,8 +22,6 @@ using simd::VecD;
 constexpr std::size_t kW = VecD::kWidth;
 constexpr std::size_t kMR = 4;
 constexpr std::size_t kNR = 2 * kW;
-
-bool g_simd_enabled = std::getenv("RTR_LINALG_SCALAR") == nullptr;
 
 // Per-element epilogue c = alpha*acc + beta*c. The special cases pin
 // the exact operation sequence of the two hot configurations: plain
@@ -238,20 +235,6 @@ gemmScalar(std::size_t m, std::size_t kdim, std::size_t n, const double *a,
     }
 }
 
-void
-gemmDispatch(std::size_t m, std::size_t kdim, std::size_t n, const double *a,
-             std::size_t lda, const double *b, std::size_t ldb,
-             bool b_transposed, double *c, std::size_t ldc, double alpha,
-             double beta)
-{
-    if (g_simd_enabled)
-        gemmSimd(m, kdim, n, a, lda, b, ldb, b_transposed, c, ldc, alpha,
-                 beta);
-    else
-        gemmScalar(m, kdim, n, a, lda, b, ldb, b_transposed, c, ldc, alpha,
-                   beta);
-}
-
 inline bool
 sameBuffer(const Matrix &x, const Matrix &y)
 {
@@ -259,18 +242,6 @@ sameBuffer(const Matrix &x, const Matrix &y)
 }
 
 } // namespace
-
-bool
-simdKernelsEnabled()
-{
-    return g_simd_enabled;
-}
-
-void
-setSimdKernelsEnabled(bool enabled)
-{
-    g_simd_enabled = enabled;
-}
 
 Matrix::Matrix(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols), data_(rows * cols, 0.0)
@@ -370,14 +341,8 @@ Matrix::operator*(const Matrix &o) const
     RTR_ASSERT(cols_ == o.rows_, "matmul shape mismatch: ", rows_, "x",
                cols_, " * ", o.rows_, "x", o.cols_);
     Matrix out(rows_, o.cols_);
-    if (g_simd_enabled)
-        gemmSimd(rows_, cols_, o.cols_, data_.data(), cols_,
-                 o.data_.data(), o.cols_, false, out.data_.data(), o.cols_,
-                 1.0, 0.0);
-    else
-        gemmScalar(rows_, cols_, o.cols_, data_.data(), cols_,
-                   o.data_.data(), o.cols_, false, out.data_.data(),
-                   o.cols_, 1.0, 0.0);
+    gemmSimd(rows_, cols_, o.cols_, data_.data(), cols_, o.data_.data(),
+             o.cols_, false, out.data_.data(), o.cols_, 1.0, 0.0);
     return out;
 }
 
@@ -387,21 +352,8 @@ Matrix::multiplyScalar(const Matrix &o) const
     RTR_ASSERT(cols_ == o.rows_, "matmul shape mismatch: ", rows_, "x",
                cols_, " * ", o.rows_, "x", o.cols_);
     Matrix out(rows_, o.cols_);
-    // The reference path: i-k-j loop order keeps the innermost accesses
-    // sequential in both the output row and the right operand's row.
-    // The zero-skip branch the seed carried here is gone — on dense EKF
-    // covariances it was a never-taken compare in the hottest loop, and
-    // it broke IEEE semantics (0-weighted NaN rows produced 0, the SIMD
-    // path produces NaN). EXPERIMENTS.md has the measurement.
-    for (std::size_t i = 0; i < rows_; ++i) {
-        for (std::size_t k = 0; k < cols_; ++k) {
-            double lhs = data_[i * cols_ + k];
-            const double *rhs_row = &o.data_[k * o.cols_];
-            double *out_row = &out.data_[i * o.cols_];
-            for (std::size_t j = 0; j < o.cols_; ++j)
-                out_row[j] += lhs * rhs_row[j];
-        }
-    }
+    gemmScalar(rows_, cols_, o.cols_, data_.data(), cols_, o.data_.data(),
+               o.cols_, false, out.data_.data(), o.cols_, 1.0, 0.0);
     return out;
 }
 
@@ -529,7 +481,8 @@ operator*(double s, const Matrix &m)
 }
 
 void
-gemm(const Matrix &a, const Matrix &b, Matrix &c, double alpha, double beta)
+gemm(const Matrix &a, const Matrix &b, Matrix &c, double alpha, double beta,
+     LinalgPath path)
 {
     RTR_ASSERT(a.cols() == b.rows(), "gemm shape mismatch: ", a.rows(), "x",
                a.cols(), " * ", b.rows(), "x", b.cols());
@@ -543,8 +496,9 @@ gemm(const Matrix &a, const Matrix &b, Matrix &c, double alpha, double beta)
                    "gemm accumulate shape mismatch: C is ", c.rows(), "x",
                    c.cols(), ", product is ", a.rows(), "x", b.cols());
     }
-    gemmDispatch(a.rows(), a.cols(), b.cols(), a.data(), a.cols(), b.data(),
-                 b.cols(), false, c.data(), c.cols(), alpha, beta);
+    auto *kernel = path == LinalgPath::Simd ? gemmSimd : gemmScalar;
+    kernel(a.rows(), a.cols(), b.cols(), a.data(), a.cols(), b.data(),
+           b.cols(), false, c.data(), c.cols(), alpha, beta);
 }
 
 void
@@ -557,8 +511,8 @@ multiplyTransposed(const Matrix &a, const Matrix &b, Matrix &out)
                "multiplyTransposed output aliases an input");
     if (out.rows() != a.rows() || out.cols() != b.rows())
         out.resize(a.rows(), b.rows());
-    gemmDispatch(a.rows(), a.cols(), b.rows(), a.data(), a.cols(), b.data(),
-                 b.cols(), true, out.data(), out.cols(), 1.0, 0.0);
+    gemmSimd(a.rows(), a.cols(), b.rows(), a.data(), a.cols(), b.data(),
+             b.cols(), true, out.data(), out.cols(), 1.0, 0.0);
 }
 
 Matrix
@@ -585,7 +539,8 @@ symmetricSandwich(const Matrix &h, const Matrix &p, Matrix &out, Matrix &work)
 }
 
 void
-addScaledOuter(Matrix &c, double alpha, const Matrix &x, const Matrix &y)
+addScaledOuter(Matrix &c, double alpha, const Matrix &x, const Matrix &y,
+               LinalgPath path)
 {
     RTR_ASSERT(x.cols() == 1 && y.cols() == 1,
                "addScaledOuter expects column vectors");
@@ -602,7 +557,7 @@ addScaledOuter(Matrix &c, double alpha, const Matrix &x, const Matrix &y)
         const double s = alpha * xp[i];
         double *crow = c.data() + i * n;
         std::size_t j = 0;
-        if (g_simd_enabled) {
+        if (path == LinalgPath::Simd) {
             const VecD vs = VecD::broadcast(s);
             for (; j + kW <= n; j += kW) {
                 VecD::mulAdd(VecD::load(crow + j), vs, VecD::load(yp + j))

@@ -7,6 +7,14 @@
  * identifies "frequent matrix operations (multiplication, inversion)" as
  * the dominant cost of 02.ekfslam; all such operations route through this
  * class so the benchmark harness can attribute time to them.
+ *
+ * Production products and factorizations always run the SIMD
+ * micro-kernels. The scalar reference paths are reachable only through
+ * explicit entry points (multiplyScalar, and a trailing LinalgPath
+ * argument on gemm, addScaledOuter and the decompositions), which the
+ * tests and bench_micro use to check the bitwise-identity contract
+ * (DESIGN.md "Dense linear algebra"). There is no process-wide switch,
+ * so concurrent callers cannot change each other's path.
  */
 
 #ifndef RTR_LINALG_MATRIX_H
@@ -72,9 +80,9 @@ class Matrix
 
     /**
      * Matrix product through the preserved scalar reference path (the
-     * plain i-k-j triple loop), regardless of the runtime SIMD-dispatch
-     * flag. The SIMD path of operator* is bitwise identical to this by
-     * contract; tests/test_linalg_simd.cpp cross-checks the two.
+     * plain i-k-j triple loop). operator* runs the SIMD path, which is
+     * bitwise identical to this by contract; tests/test_linalg_simd.cpp
+     * cross-checks the two.
      */
     Matrix multiplyScalar(const Matrix &o) const;
 
@@ -113,31 +121,14 @@ class Matrix
 Matrix operator*(double s, const Matrix &m);
 
 /**
- * Runtime dispatch between the SIMD micro-kernels and the preserved
- * scalar reference paths for everything in linalg (GEMM family,
- * Cholesky/LU factor + solve). Defaults to enabled; set the environment
- * variable RTR_LINALG_SCALAR (any value) to start disabled. The two
- * paths are bitwise identical by contract, so flipping this mid-run
- * changes performance, never results. Not thread-safe: set it before
- * entering parallel regions.
+ * Which implementation a linalg entry point runs: the SIMD micro-
+ * kernels (production) or the preserved scalar reference loops (the
+ * test oracle). Both are bitwise identical by contract.
  */
-bool simdKernelsEnabled();
-void setSimdKernelsEnabled(bool enabled);
-
-/** RAII toggle for simdKernelsEnabled (tests, scalar/SIMD A/B runs). */
-class ScopedSimdKernels
+enum class LinalgPath
 {
-  public:
-    explicit ScopedSimdKernels(bool enabled) : prev_(simdKernelsEnabled())
-    {
-        setSimdKernelsEnabled(enabled);
-    }
-    ~ScopedSimdKernels() { setSimdKernelsEnabled(prev_); }
-    ScopedSimdKernels(const ScopedSimdKernels &) = delete;
-    ScopedSimdKernels &operator=(const ScopedSimdKernels &) = delete;
-
-  private:
-    bool prev_;
+    Simd,
+    Scalar,
 };
 
 /**
@@ -150,7 +141,7 @@ class ScopedSimdKernels
  * its shape must already match.
  */
 void gemm(const Matrix &a, const Matrix &b, Matrix &c, double alpha,
-          double beta);
+          double beta, LinalgPath path = LinalgPath::Simd);
 
 /**
  * out = A * Bᵀ without materialising the transpose. A is m x k, B is
@@ -176,7 +167,7 @@ void symmetricSandwich(const Matrix &h, const Matrix &p, Matrix &out,
  * y (n x 1); C must be m x n.
  */
 void addScaledOuter(Matrix &c, double alpha, const Matrix &x,
-                    const Matrix &y);
+                    const Matrix &y, LinalgPath path = LinalgPath::Simd);
 
 } // namespace rtr
 

@@ -126,10 +126,9 @@ class ParticleFilter
 
     /**
      * Select the occupancy-query engine for measurement updates. The
-     * default comes from defaultRayEngine() (hier, or the RTR_RAYCAST
-     * override); scalar probes every traversed cell (the paper-faithful
-     * cost profile). Ranges, and therefore weights, are bitwise
-     * identical under both engines.
+     * default is defaultRayEngine() (hier); scalar probes every
+     * traversed cell (the paper-faithful cost profile). Ranges, and
+     * therefore weights, are bitwise identical under both engines.
      */
     void setRayEngine(RayEngine engine) { ray_engine_ = engine; }
 
@@ -202,7 +201,7 @@ class ParticleFilter
     BeamSensorModel sensor_model_;
     std::vector<Particle> particles_;
     RayEngine ray_engine_ = defaultRayEngine();
-    BatchEngine motion_engine_ = defaultBatchEngine();
+    BatchEngine motion_engine_ = BatchEngine::Soa;
     std::size_t rays_cast_ = 0;
     double random_injection_ = 0.02;
 

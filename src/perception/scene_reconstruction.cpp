@@ -23,8 +23,7 @@ SceneReconstructor::addScan(const PointCloud &scan, PhaseProfiler *profiler)
     // The camera stays near the model centroid's side; orienting
     // towards the previous camera position is sufficient.
     std::vector<Vec3> normals =
-        estimateNormals(model_, 10, poses_.back().translation, profiler,
-                        config_.icp.nn_engine);
+        estimateNormals(model_, 10, poses_.back().translation, profiler);
 
     // Constant-velocity seed: extrapolate the previous inter-frame
     // motion, as a visual-odometry front end would.

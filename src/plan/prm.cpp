@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "pointcloud/nn_index.h"
+#include "pointcloud/bucket_kdtree.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
@@ -44,7 +44,7 @@ PrmPlanner::build(Rng &rng, PhaseProfiler *profiler)
         ScopedPhase phase(profiler, "offline-connect");
         // k-nearest connection via a kd-tree over all roadmap configs
         // (bulk-built: every config is known up front).
-        DynNnIndex tree(space_.dof(), config_.nn_engine);
+        DynBucketKdTree tree(space_.dof());
         tree.build(configs_);
 
         // Each node's neighbor query + edge collision checks are

@@ -15,7 +15,6 @@
 
 #include "arm/workspace.h"
 #include "plan/plan_types.h"
-#include "pointcloud/nn_engine.h"
 #include "search/graph_search.h"
 #include "search/search_engine.h"
 #include "search/search_workspace.h"
@@ -35,10 +34,8 @@ struct PrmConfig
     double max_edge_length = 1.0;
     /** Interpolation resolution of motion collision checks (radians). */
     double collision_step = 0.05;
-    /** Which NN engine backs the roadmap connection queries (--nn). */
-    NnEngine nn_engine = defaultNnEngine();
-    /** Which engine runs the online graph search (--search). */
-    SearchEngine search_engine = defaultSearchEngine();
+    /** Which engine runs the online graph search. */
+    SearchEngine search_engine = SearchEngine::Flat;
 };
 
 /**

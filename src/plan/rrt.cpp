@@ -2,7 +2,7 @@
 
 #include <limits>
 
-#include "pointcloud/nn_index.h"
+#include "pointcloud/bucket_kdtree.h"
 
 namespace rtr {
 
@@ -40,7 +40,7 @@ RrtPlanner::plan(const ArmConfig &start, const ArmConfig &goal, Rng &rng,
 
     std::vector<ArmConfig> nodes{start};
     std::vector<std::uint32_t> parents{0};
-    DynNnIndex tree(space_.dof(), config_.nn_engine);
+    DynBucketKdTree tree(space_.dof());
     tree.insert(start, 0);
 
     auto nearest_node = [&](const ArmConfig &q) -> std::uint32_t {

@@ -13,7 +13,6 @@
 
 #include "arm/workspace.h"
 #include "plan/plan_types.h"
-#include "pointcloud/nn_engine.h"
 #include "util/profiler.h"
 #include "util/rng.h"
 
@@ -34,8 +33,6 @@ struct RrtConfig
     double collision_step = 0.05;
     /** Use the k-d tree for NN queries (false = brute force scan). */
     bool use_kdtree = true;
-    /** Which NN engine backs the k-d tree queries (--nn). */
-    NnEngine nn_engine = defaultNnEngine();
 };
 
 /** RRT planner over a configuration space with a collision checker. */

@@ -1,6 +1,6 @@
 #include "plan/rrt_connect.h"
 
-#include "pointcloud/nn_index.h"
+#include "pointcloud/bucket_kdtree.h"
 #include "util/logging.h"
 
 namespace rtr {
@@ -12,10 +12,9 @@ struct Tree
 {
     std::vector<ArmConfig> nodes;
     std::vector<std::uint32_t> parents;
-    DynNnIndex index;
+    DynBucketKdTree index;
 
-    Tree(std::size_t dof, NnEngine engine, const ArmConfig &root)
-        : index(dof, engine)
+    Tree(std::size_t dof, const ArmConfig &root) : index(dof)
     {
         nodes.push_back(root);
         parents.push_back(0);
@@ -74,8 +73,8 @@ RrtConnectPlanner::plan(const ArmConfig &start, const ArmConfig &goal,
         }
     }
 
-    Tree start_tree(space_.dof(), config_.nn_engine, start);
-    Tree goal_tree(space_.dof(), config_.nn_engine, goal);
+    Tree start_tree(space_.dof(), start);
+    Tree goal_tree(space_.dof(), goal);
     Tree *grow = &start_tree;   // tree extended towards the sample
     Tree *chase = &goal_tree;   // tree that then tries to connect
     bool grow_is_start = true;

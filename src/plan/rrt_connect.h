@@ -14,7 +14,6 @@
 
 #include "arm/workspace.h"
 #include "plan/plan_types.h"
-#include "pointcloud/nn_engine.h"
 #include "util/profiler.h"
 #include "util/rng.h"
 
@@ -29,8 +28,6 @@ struct RrtConnectConfig
     std::size_t max_samples = 200000;
     /** Interpolation resolution of motion collision checks (radians). */
     double collision_step = 0.05;
-    /** Which NN engine backs the two trees' indexes (--nn). */
-    NnEngine nn_engine = defaultNnEngine();
 };
 
 /** Bidirectional RRT planner. */

@@ -2,7 +2,7 @@
 
 #include <limits>
 
-#include "pointcloud/nn_index.h"
+#include "pointcloud/bucket_kdtree.h"
 
 namespace rtr {
 
@@ -32,7 +32,7 @@ RrtStarPlanner::plan(const ArmConfig &start, const ArmConfig &goal,
     std::vector<ArmConfig> nodes{start};
     std::vector<std::uint32_t> parents{0};
     std::vector<double> cost_to_come{0.0};
-    DynNnIndex tree(space_.dof(), config_.nn_engine);
+    DynBucketKdTree tree(space_.dof());
     tree.insert(start, 0);
 
     // Neighborhood hits, reused every iteration (the per-iteration

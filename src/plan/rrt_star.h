@@ -12,7 +12,6 @@
 
 #include "arm/workspace.h"
 #include "plan/plan_types.h"
-#include "pointcloud/nn_engine.h"
 #include "util/profiler.h"
 #include "util/rng.h"
 
@@ -48,8 +47,6 @@ struct RrtStarConfig
      * improve it, so others are rejected before any collision work.
      */
     bool informed_sampling = false;
-    /** Which NN engine backs nearest/rewire-radius queries (--nn). */
-    NnEngine nn_engine = defaultNnEngine();
 };
 
 /** Extra statistics RRT* reports beyond the common MotionPlan. */

@@ -8,7 +8,6 @@
 #include "linalg/decomp.h"
 #include "linalg/eigen.h"
 #include "pointcloud/bucket_kdtree.h"
-#include "pointcloud/kdtree.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
@@ -16,47 +15,16 @@ namespace rtr {
 
 namespace {
 
-/**
- * The 3-D target index of ICP / normal estimation under either NN
- * engine. Both engines implement the (dist2, id) contract, so every
- * query below returns identical hits regardless of the choice.
- */
-struct TargetIndex3
+/** Build the 3-D target index of ICP / normal estimation. */
+void
+buildIndex(BucketKdTree<3> &tree, const PointCloud &cloud)
 {
-    NnEngine engine;
-    KdTree<3> node;
-    BucketKdTree<3> bucket;
-
-    explicit TargetIndex3(NnEngine engine) : engine(engine) {}
-
-    void
-    build(const PointCloud &cloud)
-    {
-        std::vector<std::array<double, 3>> pts;
-        pts.reserve(cloud.size());
-        for (const Vec3 &p : cloud.points())
-            pts.push_back({p.x, p.y, p.z});
-        if (engine == NnEngine::Bucket)
-            bucket.build(pts);
-        else
-            node.build(pts);
-    }
-
-    /** One nearest() per query, parallel over chunks. */
-    void
-    nearestAll(const std::vector<std::array<double, 3>> &queries,
-               std::vector<KdHit> &hits) const
-    {
-        if (engine == NnEngine::Bucket) {
-            bucket.nearestBatch(queries, hits);
-            return;
-        }
-        hits.resize(queries.size());
-        parallelFor(0, queries.size(), 0, [&](std::size_t i) {
-            hits[i] = node.nearest(queries[i]);
-        });
-    }
-};
+    std::vector<std::array<double, 3>> pts;
+    pts.reserve(cloud.size());
+    for (const Vec3 &p : cloud.points())
+        pts.push_back({p.x, p.y, p.z});
+    tree.build(pts);
+}
 
 /** Refill the reusable point-major query buffer from the cloud. */
 void
@@ -134,7 +102,7 @@ namespace {
  */
 IcpResult
 icpRegisterCore(const PointCloud &source, const PointCloud &target,
-                const TargetIndex3 &tree, const IcpConfig &config,
+                const BucketKdTree<3> &tree, const IcpConfig &config,
                 PhaseProfiler *profiler)
 {
     RTR_ASSERT(source.size() >= 3 && target.size() >= 3,
@@ -166,7 +134,7 @@ icpRegisterCore(const PointCloud &source, const PointCloud &target,
             // order at any thread count.
             const std::size_t n_moved = moved.size();
             fillQueries(moved, queries);
-            tree.nearestAll(queries, hits);
+            tree.nearestBatch(queries, hits);
             src_pts.reserve(n_moved);
             tgt_pts.reserve(n_moved);
             dist2.reserve(n_moved);
@@ -240,10 +208,10 @@ icpRegister(const PointCloud &source, const PointCloud &target,
     // Build the target index once; correspondences re-query it every
     // iteration with the moving source points (the irregular-access
     // pattern the paper identifies as the memory bottleneck of srec).
-    TargetIndex3 tree(config.nn_engine);
+    BucketKdTree<3> tree;
     {
         ScopedPhase phase(profiler, "icp-nn-build");
-        tree.build(target);
+        buildIndex(tree, target);
     }
     return icpRegisterCore(source, target, tree, config, profiler);
 }
@@ -251,17 +219,16 @@ icpRegister(const PointCloud &source, const PointCloud &target,
 struct IcpTargetIndex::Impl
 {
     PointCloud target;
-    TargetIndex3 tree;
+    BucketKdTree<3> tree;
 
-    Impl(const PointCloud &cloud, NnEngine engine)
-        : target(cloud), tree(engine)
+    explicit Impl(const PointCloud &cloud) : target(cloud)
     {
-        tree.build(target);
+        buildIndex(tree, target);
     }
 };
 
-IcpTargetIndex::IcpTargetIndex(const PointCloud &target, NnEngine engine)
-    : impl_(std::make_unique<Impl>(target, engine))
+IcpTargetIndex::IcpTargetIndex(const PointCloud &target)
+    : impl_(std::make_unique<Impl>(target))
 {
 }
 
@@ -283,7 +250,7 @@ icpRegister(const PointCloud &source, const IcpTargetIndex &target,
 
 std::vector<Vec3>
 estimateNormals(const PointCloud &cloud, int k, const Vec3 &viewpoint,
-                PhaseProfiler *profiler, NnEngine nn_engine)
+                PhaseProfiler *profiler)
 {
     RTR_ASSERT(k >= 3, "normal estimation needs k >= 3");
     const auto n_points = cloud.size();
@@ -292,36 +259,21 @@ estimateNormals(const PointCloud &cloud, int k, const Vec3 &viewpoint,
     // Pass 1 (irregular memory): build the index and gather every
     // point's neighborhood.
     std::vector<std::uint32_t> neighbor_ids(n_points * kk);
-    TargetIndex3 tree(nn_engine);
+    BucketKdTree<3> tree;
     {
         ScopedPhase phase(profiler, "normals-nn-build");
-        tree.build(cloud);
+        buildIndex(tree, cloud);
     }
     {
         ScopedPhase phase(profiler, "normals-nn");
         std::vector<std::array<double, 3>> queries;
         fillQueries(cloud, queries);
-        if (nn_engine == NnEngine::Bucket) {
-            // Batched k-NN; each query's k slots are padded by
-            // repeating its last hit when the cloud is smaller than k,
-            // matching the scalar path below.
-            std::vector<KdHit> hits;
-            tree.bucket.kNearestBatch(queries, kk, hits);
-            for (std::size_t i = 0; i < n_points * kk; ++i)
-                neighbor_ids[i] = hits[i].id;
-        } else {
-            parallelForChunks(
-                0, n_points, 0, [&](const ChunkRange &chunk) {
-                    std::vector<KdHit> nbrs; // reused across the chunk
-                    for (std::size_t i = chunk.begin; i < chunk.end;
-                         ++i) {
-                        tree.node.kNearestInto(queries[i], kk, nbrs);
-                        for (std::size_t j = 0; j < kk; ++j)
-                            neighbor_ids[i * kk + j] =
-                                nbrs[std::min(j, nbrs.size() - 1)].id;
-                    }
-                });
-        }
+        // Batched k-NN; each query's k slots are padded by repeating
+        // its last hit when the cloud is smaller than k.
+        std::vector<KdHit> hits;
+        tree.kNearestBatch(queries, kk, hits);
+        for (std::size_t i = 0; i < n_points * kk; ++i)
+            neighbor_ids[i] = hits[i].id;
     }
 
     // Pass 2 (matrix operations): per-point covariance eigensolve.
@@ -386,10 +338,10 @@ icpPointToPlane(const PointCloud &source, const PointCloud &target,
                "point-to-plane ICP needs >= 6 points");
     IcpResult result;
 
-    TargetIndex3 tree(config.nn_engine);
+    BucketKdTree<3> tree;
     {
         ScopedPhase phase(profiler, "icp-nn-build");
-        tree.build(target);
+        buildIndex(tree, target);
     }
 
     PointCloud moved = source;
@@ -418,7 +370,7 @@ icpPointToPlane(const PointCloud &source, const PointCloud &target,
             // normal-equation accumulation in sequential point order.
             const std::size_t n_moved = moved.size();
             fillQueries(moved, queries);
-            tree.nearestAll(queries, hits);
+            tree.nearestBatch(queries, hits);
             for (std::size_t i = 0; i < n_moved; ++i) {
                 const KdHit &hit = hits[i];
                 if (hit.dist2 > max_d2)

@@ -5,7 +5,8 @@
  * The registration core of the scene-reconstruction kernel (03.srec),
  * following the classic KinectFusion-style pipeline the paper builds on:
  * per iteration, correspondences via nearest-neighbor search, then the
- * closed-form optimal rigid motion via Horn's quaternion method.
+ * closed-form optimal rigid motion via Horn's quaternion method. Every
+ * neighbor query runs on the leaf-bucketed k-d tree (bucket_kdtree.h).
  */
 
 #ifndef RTR_POINTCLOUD_ICP_H
@@ -13,7 +14,6 @@
 
 #include <memory>
 
-#include "pointcloud/nn_engine.h"
 #include "pointcloud/point_cloud.h"
 #include "util/profiler.h"
 
@@ -24,8 +24,6 @@ struct IcpConfig
 {
     /** Maximum outer iterations. */
     int max_iterations = 30;
-    /** Which NN engine backs the correspondence search (--nn). */
-    NnEngine nn_engine = defaultNnEngine();
     /** Stop when RMSE improves by less than this between iterations. */
     double convergence_delta = 1e-6;
     /** Reject correspondences farther apart than this (0 = keep all). */
@@ -72,14 +70,13 @@ IcpResult icpRegister(const PointCloud &source, const PointCloud &target,
  * register against one reference model: per-call icpRegister pays the
  * "icp-nn-build" phase every time, this class pays it once.
  *
- * The results are bitwise identical to the per-call overload with the
- * same @p engine: both run the same core loop over the same index.
+ * The results are bitwise identical to the per-call overload: both run
+ * the same core loop over the same index.
  */
 class IcpTargetIndex
 {
   public:
-    IcpTargetIndex(const PointCloud &target,
-                   NnEngine engine = defaultNnEngine());
+    explicit IcpTargetIndex(const PointCloud &target);
     ~IcpTargetIndex();
     IcpTargetIndex(const IcpTargetIndex &) = delete;
     IcpTargetIndex &operator=(const IcpTargetIndex &) = delete;
@@ -97,8 +94,7 @@ class IcpTargetIndex
 
 /**
  * Register @p source onto a prebuilt target index. Identical results
- * to the cloud overload; the index's NN engine is used (the value in
- * @p config.nn_engine is ignored) and no "icp-nn-build" phase runs.
+ * to the cloud overload; no "icp-nn-build" phase runs.
  */
 IcpResult icpRegister(const PointCloud &source,
                       const IcpTargetIndex &target,
@@ -122,12 +118,10 @@ RigidTransform3 bestRigidTransform(const std::vector<Vec3> &source,
  *        construction), "normals-nn" (the irregular neighborhood
  *        gathering) and "normals-eigen" (the per-point covariance
  *        eigendecompositions — matrix operations).
- * @param nn_engine Which NN engine gathers the neighborhoods (--nn).
  */
 std::vector<Vec3> estimateNormals(const PointCloud &cloud, int k,
                                   const Vec3 &viewpoint,
-                                  PhaseProfiler *profiler = nullptr,
-                                  NnEngine nn_engine = defaultNnEngine());
+                                  PhaseProfiler *profiler = nullptr);
 
 /**
  * Point-to-plane ICP: minimizes sum((R p + t - q) . n)^2 by solving the

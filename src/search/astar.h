@@ -64,7 +64,7 @@ struct AStarProblem
     /** Safety cap on expansions (0 = unbounded). */
     std::size_t max_expansions = 0;
     /** Search engine; identical results either way. */
-    SearchEngine search_engine = defaultSearchEngine();
+    SearchEngine search_engine = SearchEngine::Flat;
 };
 
 /**

@@ -47,7 +47,7 @@ class DijkstraHeuristic
     DijkstraHeuristic(const CostGrid2D &field,
                       const std::vector<Cell2> &sources,
                       PhaseProfiler *profiler = nullptr,
-                      SearchEngine engine = defaultSearchEngine(),
+                      SearchEngine engine = SearchEngine::Flat,
                       SearchWorkspace *ws = nullptr);
 
     /** Optimal traversal cost from the cell to the nearest source. */

@@ -107,7 +107,7 @@ GraphSearchResult graphAStar(const ExplicitGraph &graph,
                              const std::function<double(std::uint32_t)>
                                  &heuristic,
                              PhaseProfiler *profiler = nullptr,
-                             SearchEngine engine = defaultSearchEngine(),
+                             SearchEngine engine = SearchEngine::Flat,
                              SearchWorkspace *ws = nullptr);
 
 } // namespace rtr

@@ -56,7 +56,7 @@ class GridPlanner2D
      */
     explicit GridPlanner2D(const OccupancyGrid2D &grid,
                            const RectFootprint *footprint = nullptr,
-                           SearchEngine engine = defaultSearchEngine());
+                           SearchEngine engine = SearchEngine::Flat);
 
     /**
      * Plan from start to goal.

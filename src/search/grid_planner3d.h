@@ -48,7 +48,7 @@ class GridPlanner3D
      * @param engine Search engine (--search); identical results.
      */
     explicit GridPlanner3D(const OccupancyGrid3D &grid,
-                           SearchEngine engine = defaultSearchEngine());
+                           SearchEngine engine = SearchEngine::Flat);
 
     /**
      * Plan from start to goal.

@@ -1,6 +1,6 @@
 /**
  * @file
- * Runtime selection of the graph-search engine.
+ * The graph-search engines.
  *
  * Every A* search in the suite runs one best-first loop
  * (search/best_first.h); an engine is the node store and open list
@@ -18,19 +18,16 @@
  * Both open lists share one strict (key, id) total order, so popped
  * expansion order — and therefore paths, costs, `expanded`, and
  * `peak_open` — is identical across engines at every thread count.
- * Kernels expose the switch as --search {flat,heap} in the same style
- * as --raycast/--nn/--batch, and the RTR_SEARCH environment variable
- * flips the default so the full test suite can run against either
- * engine (scripts/check.sh "search-heap" leg).
+ * Planners and config structs take the engine as an explicit value
+ * (flat unless told otherwise). The heap stores survive as the test
+ * oracle: the SearchFlatFuzz suite, the service replay test and
+ * bench_abl_wastar pass SearchEngine::Heap through that argument.
  */
 
 #ifndef RTR_SEARCH_SEARCH_ENGINE_H
 #define RTR_SEARCH_SEARCH_ENGINE_H
 
 #include <cstddef>
-#include <string_view>
-
-#include "util/env_engine.h"
 
 namespace rtr {
 
@@ -40,42 +37,6 @@ enum class SearchEngine
     Flat, ///< SoA node pools + epoch stamps + 4-ary heap (the default).
     Heap, ///< Per-query vectors / hash intern + binary heap (reference).
 };
-
-/** Display name ("flat" / "heap"). */
-inline const char *
-searchEngineName(SearchEngine engine)
-{
-    return engine == SearchEngine::Flat ? "flat" : "heap";
-}
-
-/** Parse an engine name; returns false on anything else. */
-inline bool
-parseSearchEngine(std::string_view name, SearchEngine &out)
-{
-    if (name == "flat") {
-        out = SearchEngine::Flat;
-        return true;
-    }
-    if (name == "heap") {
-        out = SearchEngine::Heap;
-        return true;
-    }
-    return false;
-}
-
-/**
- * Process-wide default engine: flat, unless RTR_SEARCH overrides
- * (read once; an unknown value exits with status 2, see
- * util/env_engine.h). Config structs and planner constructors capture
- * this default; explicit --search flags override it per run.
- */
-inline SearchEngine
-defaultSearchEngine()
-{
-    static const SearchEngine engine = engineFromEnv(
-        "RTR_SEARCH", SearchEngine::Flat, parseSearchEngine, "flat or heap");
-    return engine;
-}
 
 /**
  * Open-list health counters of one search run. Both engines use lazy

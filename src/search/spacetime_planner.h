@@ -61,7 +61,7 @@ struct MovingTargetProblem
     /** Search engine (--search); identical plans either way. The flat
      *  engine swaps the per-query unordered_map for an epoch-stamped
      *  intern table + SoA node pool (SparseSearchWorkspace). */
-    SearchEngine search_engine = defaultSearchEngine();
+    SearchEngine search_engine = SearchEngine::Flat;
 };
 
 /** Result of a moving-target plan. */

@@ -82,9 +82,9 @@ struct WorldConfig
     /** Uniformly scattered points behind the NnBatch index. */
     std::size_t nn_points = 4096;
 
-    /** Graph-search engine of the pp2d and prm handlers (--search);
-     *  responses are byte-identical either way. */
-    SearchEngine search_engine = defaultSearchEngine();
+    /** Graph-search engine of the pp2d and prm handlers; responses
+     *  are byte-identical either way. */
+    SearchEngine search_engine = SearchEngine::Flat;
 
     /** ICP target model: one simulated depth scan of the living room. */
     std::uint64_t icp_scene_seed = 7;

@@ -73,8 +73,7 @@ class SymbolicPlanner
     /**
      * Search for a plan.
      *
-     * Weighted A* through astarSearch, on the engine that
-     * defaultSearchEngine() selects (identical plans either way).
+     * Weighted A* through astarSearch on the flat engine.
      *
      * @param profiler Optional; accumulates "heuristic" (hAdd /
      *        goal-count evaluations) and "expand" (applicability tests

@@ -1,6 +1,6 @@
 /**
  * @file
- * Runtime selection of the batched-environment engine.
+ * The batched-environment engines.
  *
  * Two engines implement the Monte-Carlo rollouts of the cem, mpc and bo
  * kernels and the pfl motion update (DESIGN.md "Batched
@@ -13,18 +13,16 @@
  *
  * Both produce bitwise-identical rewards, traces, states and particle
  * poses at every environment count and thread count, so the switch is
- * a pure performance A/B: kernels expose it as --batch {soa,scalar} in
- * the same style as --nn/--raycast/--simd, and the RTR_BATCH_ENGINE
- * environment variable flips the default so the full test suite can run
- * against either engine (scripts/check.sh "batch-scalar" leg).
+ * a pure performance A/B: kernels expose it as --batch {soa,scalar},
+ * and config structs and call sites name the engine explicitly (soa
+ * unless told otherwise). BatchKernels.CrossEngineOutputsIdentical and
+ * the other Batch* suites keep the scalar reference green.
  */
 
 #ifndef RTR_UTIL_BATCH_ENGINE_H
 #define RTR_UTIL_BATCH_ENGINE_H
 
 #include <string_view>
-
-#include "util/env_engine.h"
 
 namespace rtr {
 
@@ -55,21 +53,6 @@ parseBatchEngine(std::string_view name, BatchEngine &out)
         return true;
     }
     return false;
-}
-
-/**
- * Process-wide default engine: soa, unless RTR_BATCH_ENGINE=scalar is
- * set in the environment (read once; an unknown value exits with
- * status 2, see util/env_engine.h). Config structs capture this default
- * at construction; explicit --batch flags override it per run.
- */
-inline BatchEngine
-defaultBatchEngine()
-{
-    static const BatchEngine def = engineFromEnv(
-        "RTR_BATCH_ENGINE", BatchEngine::Soa, parseBatchEngine,
-        "soa or scalar");
-    return def;
 }
 
 } // namespace rtr

@@ -2,24 +2,17 @@
  * @file
  * Failure-injection tests: user errors must die through fatal() with a
  * diagnostic (exit code 1), internal contract violations through
- * panic() (abort), and an unknown engine name in an RTR_* engine
- * variable with exit code 2. Uses gtest death tests.
+ * panic() (abort). Uses gtest death tests.
  */
 
-#include <cstdlib>
-#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "grid/map_io.h"
-#include "grid/raycast.h"
 #include "kernels/registry.h"
 #include "linalg/decomp.h"
-#include "pointcloud/nn_engine.h"
-#include "search/search_engine.h"
 #include "util/args.h"
-#include "util/batch_engine.h"
 #include "util/stats.h"
 
 namespace rtr {
@@ -109,73 +102,6 @@ TEST(FailuresDeathTest, ReportFileToUnwritablePathIsFatal)
     KernelReport report;
     EXPECT_EXIT(writeReportFile(report, "/nonexistent/dir/report.csv"),
                 ::testing::ExitedWithCode(1), "cannot write report");
-}
-
-/**
- * Sets one environment variable and runs death tests in the threadsafe
- * style for one scope, restoring both afterwards. The threadsafe style
- * re-executes the test binary, so the read-once engine defaults are
- * read fresh from the environment instead of inherited from this
- * process (where another test may have cached them already).
- */
-class EngineEnvScope
-{
-  public:
-    EngineEnvScope(const char *var, const char *value)
-        : var_(var), style_(::testing::GTEST_FLAG(death_test_style))
-    {
-        if (const char *old = std::getenv(var))
-            old_value_ = old;
-        ::setenv(var, value, 1);
-        ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    }
-    ~EngineEnvScope()
-    {
-        if (old_value_)
-            ::setenv(var_, old_value_->c_str(), 1);
-        else
-            ::unsetenv(var_);
-        ::testing::GTEST_FLAG(death_test_style) = style_;
-    }
-    EngineEnvScope(const EngineEnvScope &) = delete;
-    EngineEnvScope &operator=(const EngineEnvScope &) = delete;
-
-  private:
-    const char *var_;
-    std::string style_;
-    std::optional<std::string> old_value_;
-};
-
-TEST(FailuresDeathTest, UnknownRayEngineExitsWithStatus2)
-{
-    EngineEnvScope env("RTR_RAYCAST", "packet");
-    EXPECT_EXIT(defaultRayEngine(), ::testing::ExitedWithCode(2),
-                "RTR_RAYCAST=packet is not an engine \\(expected hier or "
-                "scalar\\)");
-}
-
-TEST(FailuresDeathTest, UnknownSearchEngineExitsWithStatus2)
-{
-    EngineEnvScope env("RTR_SEARCH", "flatt");
-    EXPECT_EXIT(defaultSearchEngine(), ::testing::ExitedWithCode(2),
-                "RTR_SEARCH=flatt is not an engine \\(expected flat or "
-                "heap\\)");
-}
-
-TEST(FailuresDeathTest, UnknownNnEngineExitsWithStatus2)
-{
-    EngineEnvScope env("RTR_NN_ENGINE", "nodes");
-    EXPECT_EXIT(defaultNnEngine(), ::testing::ExitedWithCode(2),
-                "RTR_NN_ENGINE=nodes is not an engine \\(expected bucket "
-                "or node\\)");
-}
-
-TEST(FailuresDeathTest, UnknownBatchEngineExitsWithStatus2)
-{
-    EngineEnvScope env("RTR_BATCH_ENGINE", "scaler");
-    EXPECT_EXIT(defaultBatchEngine(), ::testing::ExitedWithCode(2),
-                "RTR_BATCH_ENGINE=scaler is not an engine \\(expected soa "
-                "or scalar\\)");
 }
 
 } // namespace

@@ -19,7 +19,6 @@
 #include "pointcloud/bucket_kdtree.h"
 #include "pointcloud/dyn_kdtree.h"
 #include "pointcloud/kdtree.h"
-#include "pointcloud/nn_index.h"
 #include "util/rng.h"
 
 namespace rtr {
@@ -301,48 +300,6 @@ TEST(BucketKdTree, AllDuplicatePointsTieBreakBySmallestId)
     ASSERT_EQ(br.size(), 200u);
     for (std::uint32_t i = 0; i < 200; ++i)
         EXPECT_EQ(br[i].id, i);
-}
-
-TEST(DynNnIndex, EnginesAgreeThroughDispatch)
-{
-    Rng rng(11);
-    DynNnIndex bucket(4, NnEngine::Bucket);
-    DynNnIndex node(4, NnEngine::Node);
-    EXPECT_EQ(bucket.engine(), NnEngine::Bucket);
-    EXPECT_EQ(node.engine(), NnEngine::Node);
-
-    std::vector<std::vector<double>> points;
-    for (int i = 0; i < 500; ++i) {
-        auto p = randomPoint(4, rng, -3.0, 3.0);
-        bucket.insert(p, static_cast<std::uint32_t>(i));
-        node.insert(p, static_cast<std::uint32_t>(i));
-        points.push_back(std::move(p));
-    }
-    std::vector<KdHit> b_buf, n_buf;
-    for (int q = 0; q < 100; ++q) {
-        const auto query = randomPoint(4, rng, -4.0, 4.0);
-        const KdHit b = bucket.nearest(query);
-        const KdHit n = node.nearest(query);
-        EXPECT_EQ(b.id, n.id);
-        EXPECT_EQ(b.dist2, n.dist2);
-
-        bucket.radiusSearchInto(query, 1.5, b_buf);
-        node.radiusSearchInto(query, 1.5, n_buf);
-        expectSameHits(b_buf, n_buf, "dispatch radius");
-    }
-}
-
-TEST(NnEngine, ParseAndName)
-{
-    NnEngine engine = NnEngine::Node;
-    EXPECT_TRUE(parseNnEngine("bucket", engine));
-    EXPECT_EQ(engine, NnEngine::Bucket);
-    EXPECT_TRUE(parseNnEngine("node", engine));
-    EXPECT_EQ(engine, NnEngine::Node);
-    EXPECT_FALSE(parseNnEngine("octree", engine));
-    EXPECT_EQ(engine, NnEngine::Node); // unchanged on failure
-    EXPECT_STREQ(nnEngineName(NnEngine::Bucket), "bucket");
-    EXPECT_STREQ(nnEngineName(NnEngine::Node), "node");
 }
 
 } // namespace

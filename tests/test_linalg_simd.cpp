@@ -9,15 +9,19 @@
  * tests sweep sizes 1..17, compare with memcmp (not a tolerance), and
  * additionally pin the aliasing traps and IEEE NaN/Inf propagation.
  *
- * Both dispatch paths run in-process via the runtime flag
- * (ScopedSimdKernels); under -DRTR_FORCE_SCALAR_SIMD=ON both paths
- * compile to scalar code and the suite degenerates to self-consistency,
- * which is exactly what the scalar CI leg is for.
+ * Both paths run in-process: the scalar reference through the
+ * explicit entry points (Matrix::multiplyScalar, LinalgPath::Scalar),
+ * the SIMD path through the production calls. Under
+ * -DRTR_FORCE_SCALAR_SIMD=ON both compile to scalar code and the suite
+ * degenerates to self-consistency, which is exactly what the scalar CI
+ * leg is for.
  */
 
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -67,21 +71,6 @@ TEST(LinalgSimd, BackendReportsSaneWidth)
 #endif
 }
 
-TEST(LinalgSimd, RuntimeFlagRoundTrips)
-{
-    const bool before = simdKernelsEnabled();
-    {
-        ScopedSimdKernels off(false);
-        EXPECT_FALSE(simdKernelsEnabled());
-        {
-            ScopedSimdKernels on(true);
-            EXPECT_TRUE(simdKernelsEnabled());
-        }
-        EXPECT_FALSE(simdKernelsEnabled());
-    }
-    EXPECT_EQ(simdKernelsEnabled(), before);
-}
-
 TEST(LinalgSimd, MultiplyBitwiseMatchesScalarAcrossSizes)
 {
     std::mt19937 rng(7);
@@ -91,7 +80,6 @@ TEST(LinalgSimd, MultiplyBitwiseMatchesScalarAcrossSizes)
                 Matrix a = randomMatrix(m, k, rng);
                 Matrix b = randomMatrix(k, n, rng);
                 const Matrix ref = a.multiplyScalar(b);
-                ScopedSimdKernels on(true);
                 const Matrix simd = a * b;
                 ASSERT_TRUE(bitwiseEqual(ref, simd))
                     << "simd product differs at " << m << "x" << k << "x"
@@ -112,15 +100,9 @@ TEST(LinalgSimd, GemmAlphaBetaBitwiseMatchesScalar)
                 Matrix c0 = randomMatrix(n, n + 2, rng);
 
                 Matrix c_scalar = c0;
-                {
-                    ScopedSimdKernels off(false);
-                    gemm(a, b, c_scalar, alpha, beta);
-                }
+                gemm(a, b, c_scalar, alpha, beta, LinalgPath::Scalar);
                 Matrix c_simd = c0;
-                {
-                    ScopedSimdKernels on(true);
-                    gemm(a, b, c_simd, alpha, beta);
-                }
+                gemm(a, b, c_simd, alpha, beta, LinalgPath::Simd);
                 ASSERT_TRUE(bitwiseEqual(c_scalar, c_simd))
                     << "gemm differs at n=" << n << " alpha=" << alpha
                     << " beta=" << beta;
@@ -138,7 +120,6 @@ TEST(LinalgSimd, MultiplyTransposedBitwiseMatchesMaterializedTranspose)
                 Matrix a = randomMatrix(m, k, rng);
                 Matrix b = randomMatrix(n, k, rng);
                 const Matrix ref = a.multiplyScalar(b.transposed());
-                ScopedSimdKernels on(true);
                 const Matrix fused = multiplyTransposed(a, b);
                 ASSERT_TRUE(bitwiseEqual(ref, fused))
                     << "multiplyTransposed differs at " << m << "x" << k
@@ -156,7 +137,6 @@ TEST(LinalgSimd, SymmetricSandwichBitwiseMatchesComposition)
         Matrix p = randomSpd(n, rng);
         const Matrix ref =
             h.multiplyScalar(p).multiplyScalar(h.transposed());
-        ScopedSimdKernels on(true);
         Matrix out, work;
         symmetricSandwich(h, p, out, work);
         ASSERT_TRUE(bitwiseEqual(ref, out)) << "sandwich differs at n=" << n;
@@ -172,15 +152,9 @@ TEST(LinalgSimd, AddScaledOuterBitwiseMatchesScalar)
             Matrix y = randomMatrix(n, 1, rng);
             Matrix c0 = randomMatrix(m, n, rng);
             Matrix c_scalar = c0;
-            {
-                ScopedSimdKernels off(false);
-                addScaledOuter(c_scalar, 1.25, x, y);
-            }
+            addScaledOuter(c_scalar, 1.25, x, y, LinalgPath::Scalar);
             Matrix c_simd = c0;
-            {
-                ScopedSimdKernels on(true);
-                addScaledOuter(c_simd, 1.25, x, y);
-            }
+            addScaledOuter(c_simd, 1.25, x, y, LinalgPath::Simd);
             ASSERT_TRUE(bitwiseEqual(c_scalar, c_simd))
                 << "addScaledOuter differs at " << m << "x" << n;
         }
@@ -192,10 +166,8 @@ TEST(LinalgSimd, CholeskyFactorAndLogDetBitwiseAcrossSizes)
     std::mt19937 rng(23);
     for (std::size_t n = 1; n <= 17; ++n) {
         Matrix spd = randomSpd(n, rng);
-        ScopedSimdKernels off(false);
-        CholeskyDecomposition ref(spd);
-        setSimdKernelsEnabled(true);
-        CholeskyDecomposition simd(spd);
+        CholeskyDecomposition ref(spd, LinalgPath::Scalar);
+        CholeskyDecomposition simd(spd, LinalgPath::Simd);
         ASSERT_FALSE(ref.failed());
         ASSERT_FALSE(simd.failed());
         ASSERT_TRUE(bitwiseEqual(ref.lower(), simd.lower()))
@@ -212,17 +184,13 @@ TEST(LinalgSimd, CholeskySolveBitwiseAcrossSizesAndRhsWidths)
     std::mt19937 rng(29);
     for (std::size_t n = 1; n <= 17; ++n) {
         Matrix spd = randomSpd(n, rng);
-        // One decomposition per flag setting: factor AND solve must
-        // both be flag-independent.
-        ScopedSimdKernels off(false);
-        CholeskyDecomposition ref(spd);
-        setSimdKernelsEnabled(true);
-        CholeskyDecomposition simd(spd);
+        // One decomposition per path: factor AND solve must both be
+        // path-independent.
+        CholeskyDecomposition ref(spd, LinalgPath::Scalar);
+        CholeskyDecomposition simd(spd, LinalgPath::Simd);
         for (std::size_t m : {1u, 2u, 3u, 5u}) {
             Matrix b = randomMatrix(n, m, rng);
-            setSimdKernelsEnabled(false);
             const Matrix x_ref = ref.solve(b);
-            setSimdKernelsEnabled(true);
             const Matrix x_simd = simd.solve(b);
             ASSERT_TRUE(bitwiseEqual(x_ref, x_simd))
                 << "Cholesky solve differs at n=" << n << " rhs=" << m;
@@ -249,10 +217,8 @@ TEST(LinalgSimd, CholeskySolveIntoMatchesSolve)
 TEST(LinalgSimd, CholeskyFailureFlagAgreesOnNonSpd)
 {
     Matrix not_spd{{1.0, 2.0}, {2.0, 1.0}}; // eigenvalues 3, -1
-    ScopedSimdKernels off(false);
-    CholeskyDecomposition ref(not_spd);
-    setSimdKernelsEnabled(true);
-    CholeskyDecomposition simd(not_spd);
+    CholeskyDecomposition ref(not_spd, LinalgPath::Scalar);
+    CholeskyDecomposition simd(not_spd, LinalgPath::Simd);
     EXPECT_TRUE(ref.failed());
     EXPECT_TRUE(simd.failed());
 }
@@ -265,16 +231,82 @@ TEST(LinalgSimd, LuSolveAndInverseBitwiseAcrossSizes)
         for (std::size_t i = 0; i < n; ++i)
             a(i, i) += 3.0; // keep it comfortably non-singular
         Matrix b = randomMatrix(n, 3, rng);
-        ScopedSimdKernels off(false);
-        LuDecomposition lu_ref(a);
+        LuDecomposition lu_ref(a, LinalgPath::Scalar);
         const Matrix x_ref = lu_ref.solve(b);
         const Matrix inv_ref = lu_ref.inverse();
-        setSimdKernelsEnabled(true);
-        LuDecomposition lu_simd(a);
+        LuDecomposition lu_simd(a, LinalgPath::Simd);
         const Matrix x_simd = lu_simd.solve(b);
         const Matrix inv_simd = lu_simd.inverse();
         ASSERT_TRUE(bitwiseEqual(x_ref, x_simd)) << "LU solve n=" << n;
         ASSERT_TRUE(bitwiseEqual(inv_ref, inv_simd)) << "LU inverse n=" << n;
+    }
+}
+
+/**
+ * Run a product, a rank-1 update, a Cholesky factor + solve and an LU
+ * solve + inverse on one path for each group of five inputs
+ * (a, b, spd, x, rhs), and return every result in order.
+ */
+std::vector<Matrix>
+runAllOps(const std::vector<Matrix> &inputs, LinalgPath path)
+{
+    std::vector<Matrix> out;
+    for (std::size_t i = 0; i + 4 < inputs.size(); i += 5) {
+        const Matrix &a = inputs[i];
+        const Matrix &b = inputs[i + 1];
+        const Matrix &spd = inputs[i + 2];
+        const Matrix &x = inputs[i + 3];
+        const Matrix &rhs = inputs[i + 4];
+        Matrix c = b;
+        gemm(a, b, c, 0.75, -0.5, path);
+        out.push_back(c);
+        Matrix outer = spd;
+        addScaledOuter(outer, 1.25, x, x, path);
+        out.push_back(outer);
+        CholeskyDecomposition chol(spd, path);
+        out.push_back(chol.lower());
+        out.push_back(chol.solve(rhs));
+        LuDecomposition lu(a, path);
+        out.push_back(lu.solve(rhs));
+        out.push_back(lu.inverse());
+    }
+    return out;
+}
+
+/**
+ * The path is a per-call argument, not process state: one thread on the
+ * scalar reference and one on the SIMD kernels, running concurrently
+ * over the same inputs, must produce bitwise-identical results. The
+ * name keeps this case in the ThreadSanitizer leg's test filter.
+ */
+TEST(LinalgSimd, ParallelScalarAndSimdCallersAgreeBitwise)
+{
+    std::mt19937 rng(43);
+    std::vector<Matrix> inputs;
+    for (std::size_t n = 1; n <= 17; ++n) {
+        Matrix a = randomMatrix(n, n, rng);
+        for (std::size_t i = 0; i < n; ++i)
+            a(i, i) += 3.0; // keep it comfortably non-singular
+        inputs.push_back(a);
+        inputs.push_back(randomMatrix(n, n, rng));
+        inputs.push_back(randomSpd(n, rng));
+        inputs.push_back(randomMatrix(n, 1, rng));
+        inputs.push_back(randomMatrix(n, 3, rng));
+    }
+    std::vector<Matrix> scalar_out, simd_out;
+    for (int round = 0; round < 4; ++round) {
+        std::thread scalar([&] {
+            scalar_out = runAllOps(inputs, LinalgPath::Scalar);
+        });
+        std::thread simd([&] {
+            simd_out = runAllOps(inputs, LinalgPath::Simd);
+        });
+        scalar.join();
+        simd.join();
+        ASSERT_EQ(scalar_out.size(), simd_out.size());
+        for (std::size_t i = 0; i < scalar_out.size(); ++i)
+            ASSERT_TRUE(bitwiseEqual(scalar_out[i], simd_out[i]))
+                << "result " << i << " differs in round " << round;
     }
 }
 
@@ -322,7 +354,6 @@ TEST(LinalgSimd, NanPropagatesThroughZeroWeightedRows)
     Matrix b = Matrix::identity(2);
     b(0, 0) = nan;
     const Matrix ref = a.multiplyScalar(b);
-    ScopedSimdKernels on(true);
     const Matrix simd = a * b;
     EXPECT_TRUE(std::isnan(ref(0, 0)));
     EXPECT_TRUE(std::isnan(simd(0, 0)));
@@ -341,7 +372,6 @@ TEST(LinalgSimd, InfAndNanPropagationBitwiseAgrees)
         b(n / 2, n - 1) = -inf; // inf * -inf and inf * finite mix
         a(n - 1, 0) = nan;
         const Matrix ref = a.multiplyScalar(b);
-        ScopedSimdKernels on(true);
         const Matrix simd = a * b;
         ASSERT_TRUE(bitwiseEqual(ref, simd)) << "NaN/Inf differs n=" << n;
         EXPECT_TRUE(std::isnan(simd(n - 1, 0)));
@@ -355,20 +385,17 @@ TEST(LinalgSimd, GemmBetaZeroNeverReadsPoisonedOutput)
     Matrix b = Matrix::constant(5, 5, 2.0);
     Matrix c = Matrix::constant(5, 5,
                                 std::numeric_limits<double>::quiet_NaN());
-    ScopedSimdKernels on(true);
-    gemm(a, b, c, 1.0, 0.0);
+    gemm(a, b, c, 1.0, 0.0, LinalgPath::Simd);
     EXPECT_TRUE(c.approxEquals(b, 0.0));
     Matrix c2 = Matrix::constant(5, 5,
                                  std::numeric_limits<double>::quiet_NaN());
-    ScopedSimdKernels off(false);
-    gemm(a, b, c2, 1.0, 0.0);
+    gemm(a, b, c2, 1.0, 0.0, LinalgPath::Scalar);
     EXPECT_TRUE(c2.approxEquals(b, 0.0));
 }
 
 TEST(LinalgSimd, EmptyAndDegenerateShapes)
 {
     Matrix empty;
-    ScopedSimdKernels on(true);
     Matrix out = empty * empty;
     EXPECT_EQ(out.rows(), 0u);
     EXPECT_EQ(out.cols(), 0u);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Cross-engine fuzz suite for the graph-search engines (--search):
+ * Cross-engine fuzz suite for the graph-search engines (SearchEngine):
  * the flat engine (SoA node pools, epoch stamps, 4-ary open list) must
  * reproduce the heap reference bit-for-bit — same paths, costs,
  * expansion counts, peak open-list sizes and health statistics — over
@@ -171,20 +171,6 @@ TEST(DaryHeap, PopOrderMatchesMinHeapUnderTies)
         EXPECT_TRUE(d4.empty());
         EXPECT_TRUE(d8.empty());
     }
-}
-
-TEST(SearchEngineOption, ParsesKnownNamesOnly)
-{
-    SearchEngine engine = SearchEngine::Heap;
-    EXPECT_TRUE(parseSearchEngine("flat", engine));
-    EXPECT_EQ(engine, SearchEngine::Flat);
-    EXPECT_TRUE(parseSearchEngine("heap", engine));
-    EXPECT_EQ(engine, SearchEngine::Heap);
-    EXPECT_FALSE(parseSearchEngine("", engine));
-    EXPECT_FALSE(parseSearchEngine("Flat", engine));
-    EXPECT_FALSE(parseSearchEngine("binary", engine));
-    EXPECT_STREQ(searchEngineName(SearchEngine::Flat), "flat");
-    EXPECT_STREQ(searchEngineName(SearchEngine::Heap), "heap");
 }
 
 // ---------------------------------------------------------------------

@@ -331,7 +331,7 @@ runOnWorld(const World &world, const std::vector<Request> &stream,
 }
 
 /**
- * The --search engines are not allowed to change a single response
+ * The graph-search engines are not allowed to change a single response
  * byte: replaying one request stream through a flat-engine world and a
  * heap-engine world must produce identical canonical bytes, at any
  * worker count.
