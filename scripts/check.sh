@@ -8,7 +8,9 @@
 # trees stay warm across runs. TSan runs the thread-focused suites
 # (Parallel/Telemetry/Service/Mpmc, plus CastScan: castScanBatch is
 # the pfl ray path under parallelForChunks; "Parallel" also matches
-# LinalgSimd.ParallelScalarAndSimdCallersAgreeBitwise) — the full
+# LinalgSimd.ParallelScalarAndSimdCallersAgreeBitwise,
+# IcpPlaneTarget.ParallelOnDemandNormalsMatchEagerBitwise and
+# SceneRec.ParallelNormalCountsAreThreadInvariant) — the full
 # suite under TSan is slow and the remaining tests are single-threaded
 # by construction. The scalar
 # variant builds with -DRTR_FORCE_SCALAR_SIMD=ON so the portable

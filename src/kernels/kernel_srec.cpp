@@ -4,6 +4,7 @@
 
 #include "perception/scene_reconstruction.h"
 #include "pointcloud/scene_gen.h"
+#include "util/logging.h"
 #include "util/roi.h"
 #include "util/stopwatch.h"
 
@@ -26,14 +27,34 @@ SrecKernel::run(const ArgParser &args) const
 {
     KernelReport report;
     applyThreadsOption(args);
-    const int frames = static_cast<int>(args.getInt("frames"));
+    // Reject configurations the pipeline cannot run: a trajectory needs
+    // two poses, downsampling a positive voxel, point-to-plane ICP six
+    // points per scan.
+    const std::int64_t frames_arg = args.getInt("frames");
+    if (frames_arg < 2 || frames_arg > 100000)
+        fatal("--frames must be in [2, 100000], got ", frames_arg);
+    const std::int64_t width = args.getInt("scan-width");
+    const std::int64_t height = args.getInt("scan-height");
+    if (width < 1 || height < 1 || width > 100000 || height > 100000 ||
+        width * height < 6)
+        fatal("--scan-width and --scan-height must be in [1, 100000] "
+              "with at least 6 rays per frame, got ",
+              width, " x ", height);
+    const double voxel = args.getDouble("voxel");
+    if (!std::isfinite(voxel) || voxel <= 0.0)
+        fatal("--voxel must be finite and > 0, got ", voxel);
+    const std::int64_t icp_iterations = args.getInt("icp-iterations");
+    if (icp_iterations < 1 || icp_iterations > 100000)
+        fatal("--icp-iterations must be in [1, 100000], got ",
+              icp_iterations);
+    const int frames = static_cast<int>(frames_arg);
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed"));
 
     // ---- Input generation (outside the ROI) ----
     IndoorScene scene = IndoorScene::livingRoom(seed);
     DepthCamera camera;
-    camera.width = static_cast<int>(args.getInt("scan-width"));
-    camera.height = static_cast<int>(args.getInt("scan-height"));
+    camera.width = static_cast<int>(width);
+    camera.height = static_cast<int>(height);
     std::vector<CameraPose> trajectory = makeTrajectory(scene, frames);
 
     Rng scan_rng(seed * 31 + 5);
@@ -43,9 +64,8 @@ SrecKernel::run(const ArgParser &args) const
         scans.push_back(simulateScan(scene, pose, camera, scan_rng));
 
     SceneRecConfig config;
-    config.voxel_size = args.getDouble("voxel");
-    config.icp.max_iterations =
-        static_cast<int>(args.getInt("icp-iterations"));
+    config.voxel_size = voxel;
+    config.icp.max_iterations = static_cast<int>(icp_iterations);
     config.icp.max_correspondence_distance = 0.5;
 
     // ---- Reconstruction (the ROI) ----
@@ -77,18 +97,17 @@ SrecKernel::run(const ArgParser &args) const
     }
     pose_error /= frames;
 
-    // Point-cloud operations: correspondence search, neighborhood
-    // gathering, transform application, model merging — the irregular
-    // memory traffic the paper identifies. Matrix operations: the
-    // per-iteration 6x6 solves plus the per-point covariance
-    // eigendecompositions of normal estimation.
+    // Point-cloud operations: model indexing, correspondence search,
+    // neighborhood gathering, transform application, model merging —
+    // the irregular memory traffic the paper identifies. Matrix
+    // operations: the per-iteration 6x6 assembly and solve plus the
+    // per-point covariance eigendecompositions of normal estimation.
     double nn = report.phaseFraction("icp-nn") +
                 report.phaseFraction("icp-nn-build");
     double solve = report.phaseFraction("icp-solve");
     double apply = report.phaseFraction("icp-apply");
     double merge = report.phaseFraction("merge");
-    double normals_nn = report.phaseFraction("normals-nn") +
-                        report.phaseFraction("normals-nn-build");
+    double normals_nn = report.phaseFraction("normals-nn");
     double normals_eigen = report.phaseFraction("normals-eigen");
 
     report.success = pose_error < 0.10;
@@ -99,6 +118,12 @@ SrecKernel::run(const ArgParser &args) const
     report.metrics["final_rmse_m"] = rmse_series.back();
     report.metrics["model_points"] =
         static_cast<double>(reconstructor.model().size());
+    // The point-cloud work stated as counts: model points indexed for
+    // ICP and the normals ICP needed, each summed over frames.
+    report.metrics["model_points_indexed"] =
+        static_cast<double>(reconstructor.modelPointsIndexed());
+    report.metrics["normals_computed"] =
+        static_cast<double>(reconstructor.normalsComputed());
     report.series["icp_rmse"] = std::move(rmse_series);
     return report;
 }

@@ -14,9 +14,12 @@ namespace rtr {
  * Depth scans of a synthetic living room (the ICL-NUIM stand-in) are
  * registered and fused frame by frame.
  *
- * Key metrics: pointcloud_fraction (nearest-neighbor correspondence +
- * merge; the paper's memory-bound >68%), matrix_ops_fraction (transform
- * estimation), and the trajectory error against ground truth.
+ * Key metrics: pointcloud_fraction (model indexing, nearest-neighbor
+ * correspondence and normal neighborhoods, merge; the paper's
+ * memory-bound >68%), matrix_ops_fraction (transform estimation and
+ * normal eigensolves), the trajectory error against ground truth, and
+ * two work counts summed over frames: model_points_indexed and
+ * normals_computed (the model normals ICP read).
  */
 class SrecKernel : public Kernel
 {

@@ -37,16 +37,30 @@ rotateRows(double *x, double *y, double c, double s, std::size_t n)
     }
 }
 
-} // namespace
-
-SymmetricEigen
-symmetricEigen(const Matrix &input, int max_sweeps)
+/**
+ * Row-major 3x3 stack storage with the element interface of Matrix
+ * that jacobiEigen uses.
+ */
+struct Fixed3
 {
-    RTR_ASSERT(input.rows() == input.cols(), "eigen of non-square matrix");
-    const std::size_t n = input.rows();
-    Matrix a = input;
-    Matrix v = Matrix::identity(n);
+    double m[9];
 
+    double &operator()(std::size_t r, std::size_t c) { return m[r * 3 + c]; }
+    double *data() { return m; }
+};
+
+/**
+ * Cyclic Jacobi on the n x n symmetric @p a, accumulating the rotations
+ * into @p v (identity on entry). On return a's diagonal holds the
+ * eigenvalues, v's columns the eigenvectors, and order[0..n) the
+ * column indices sorted by descending eigenvalue. The one sweep both
+ * symmetricEigen (Matrix) and symmetricEigen3 (Fixed3) run.
+ */
+template <typename Storage>
+void
+jacobiEigen(Storage &a, Storage &v, std::size_t n, int max_sweeps,
+            std::size_t *order)
+{
     for (int sweep = 0; sweep < max_sweeps; ++sweep) {
         // Sum of squared off-diagonal magnitudes decides convergence.
         double off = 0.0;
@@ -88,11 +102,23 @@ symmetricEigen(const Matrix &input, int max_sweeps)
     }
 
     // Sort eigenpairs by descending eigenvalue.
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](std::size_t i, std::size_t j) {
+    std::iota(order, order + n, std::size_t{0});
+    std::sort(order, order + n, [&](std::size_t i, std::size_t j) {
         return a(i, i) > a(j, j);
     });
+}
+
+} // namespace
+
+SymmetricEigen
+symmetricEigen(const Matrix &input, int max_sweeps)
+{
+    RTR_ASSERT(input.rows() == input.cols(), "eigen of non-square matrix");
+    const std::size_t n = input.rows();
+    Matrix a = input;
+    Matrix v = Matrix::identity(n);
+    std::vector<std::size_t> order(n);
+    jacobiEigen(a, v, n, max_sweeps, order.data());
 
     SymmetricEigen result;
     result.values.resize(n);
@@ -101,6 +127,28 @@ symmetricEigen(const Matrix &input, int max_sweeps)
         result.values[j] = a(order[j], order[j]);
         for (std::size_t i = 0; i < n; ++i)
             result.vectors(i, j) = v(i, order[j]);
+    }
+    return result;
+}
+
+SymmetricEigen3
+symmetricEigen3(const double (&input)[3][3], int max_sweeps)
+{
+    Fixed3 a{}, v{};
+    for (std::size_t r = 0; r < 3; ++r) {
+        for (std::size_t c = 0; c < 3; ++c) {
+            a(r, c) = input[r][c];
+            v(r, c) = r == c ? 1.0 : 0.0;
+        }
+    }
+    std::size_t order[3] = {};
+    jacobiEigen(a, v, 3, max_sweeps, order);
+
+    SymmetricEigen3 result{};
+    for (std::size_t j = 0; j < 3; ++j) {
+        result.values[j] = a(order[j], order[j]);
+        for (std::size_t i = 0; i < 3; ++i)
+            result.vectors[i][j] = v(i, order[j]);
     }
     return result;
 }

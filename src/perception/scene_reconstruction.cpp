@@ -19,18 +19,23 @@ SceneReconstructor::addScan(const PointCloud &scan, PhaseProfiler *profiler)
         return poses_.back();
     }
 
-    // Surface normals of the current model (point-to-plane ICP target).
-    // The camera stays near the model centroid's side; orienting
-    // towards the previous camera position is sufficient.
-    std::vector<Vec3> normals =
-        estimateNormals(model_, 10, poses_.back().translation, profiler);
-
     // Constant-velocity seed: extrapolate the previous inter-frame
     // motion, as a visual-odometry front end would.
     RigidTransform3 seed = last_delta_.compose(poses_.back());
     PointCloud seeded = scan.transformed(seed);
-    IcpResult icp =
-        icpPointToPlane(seeded, model_, normals, config_.icp, profiler);
+    IcpResult icp;
+    {
+        // One model index per frame serves the correspondences and the
+        // normal neighborhoods; ICP estimates a model point's normal
+        // only when a correspondence first hits it. The camera stays
+        // near the model centroid's side; orienting normals towards
+        // the previous camera position is sufficient.
+        IcpPlaneTarget target(model_, 10, poses_.back().translation,
+                              profiler);
+        icp = icpPointToPlane(seeded, target, config_.icp, profiler);
+        normals_computed_ += target.normalsComputed();
+        model_points_indexed_ += model_.size();
+    }
     last_rmse_ = icp.rmse;
 
     RigidTransform3 pose = icp.transform.compose(seed);

@@ -47,8 +47,12 @@ class SceneReconstructor
      * Register a new scan (camera-frame points) against the model and
      * merge it.
      *
-     * The first scan defines the world frame. Profiled phases: "icp-nn"
-     * and "icp-solve" (inside ICP) plus "merge".
+     * The first scan defines the world frame. Each later scan is
+     * registered by point-to-plane ICP against one index built over the
+     * model, with model normals estimated on demand (IcpPlaneTarget).
+     * Profiled phases: "icp-nn-build", "icp-nn", "normals-nn",
+     * "normals-eigen", "icp-solve" and "icp-apply" (inside ICP) plus
+     * "merge".
      *
      * @return Estimated world-from-camera transform of this scan.
      */
@@ -67,6 +71,12 @@ class SceneReconstructor
     /** Number of scans merged. */
     std::size_t scanCount() const { return poses_.size(); }
 
+    /** Model normals estimated by ICP, summed over registered scans. */
+    std::size_t normalsComputed() const { return normals_computed_; }
+
+    /** Model points indexed for ICP, summed over registered scans. */
+    std::size_t modelPointsIndexed() const { return model_points_indexed_; }
+
   private:
     SceneRecConfig config_;
     PointCloud model_;
@@ -75,6 +85,8 @@ class SceneReconstructor
     RigidTransform3 last_delta_;
     double last_rmse_ = 0.0;
     int scans_since_downsample_ = 0;
+    std::size_t normals_computed_ = 0;
+    std::size_t model_points_indexed_ = 0;
 };
 
 } // namespace rtr

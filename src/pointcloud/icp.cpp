@@ -17,8 +17,10 @@ namespace {
 
 /** Build the 3-D target index of ICP / normal estimation. */
 void
-buildIndex(BucketKdTree<3> &tree, const PointCloud &cloud)
+buildIndex(BucketKdTree<3> &tree, const PointCloud &cloud,
+           PhaseProfiler *profiler)
 {
+    ScopedPhase phase(profiler, "icp-nn-build");
     std::vector<std::array<double, 3>> pts;
     pts.reserve(cloud.size());
     for (const Vec3 &p : cloud.points())
@@ -209,10 +211,7 @@ icpRegister(const PointCloud &source, const PointCloud &target,
     // iteration with the moving source points (the irregular-access
     // pattern the paper identifies as the memory bottleneck of srec).
     BucketKdTree<3> tree;
-    {
-        ScopedPhase phase(profiler, "icp-nn-build");
-        buildIndex(tree, target);
-    }
+    buildIndex(tree, target, profiler);
     return icpRegisterCore(source, target, tree, config, profiler);
 }
 
@@ -223,7 +222,7 @@ struct IcpTargetIndex::Impl
 
     explicit Impl(const PointCloud &cloud) : target(cloud)
     {
-        buildIndex(tree, target);
+        buildIndex(tree, target, nullptr);
     }
 };
 
@@ -248,66 +247,134 @@ icpRegister(const PointCloud &source, const IcpTargetIndex &target,
                            target.impl_->tree, config, profiler);
 }
 
+namespace {
+
+/**
+ * Surface normal at @p p: the smallest-eigenvalue eigenvector of the
+ * covariance of its k neighbors @p nbrs, oriented towards @p viewpoint.
+ */
+Vec3
+pcaNormal(const PointCloud &cloud, const Vec3 &p, const KdHit *nbrs,
+          std::size_t k, const Vec3 &viewpoint)
+{
+    Vec3 mean;
+    for (std::size_t j = 0; j < k; ++j)
+        mean += cloud[nbrs[j].id];
+    mean = mean / static_cast<double>(k);
+    double c[3][3] = {};
+    for (std::size_t j = 0; j < k; ++j) {
+        Vec3 d = cloud[nbrs[j].id] - mean;
+        const double v[3] = {d.x, d.y, d.z};
+        for (int r = 0; r < 3; ++r) {
+            for (int col = 0; col < 3; ++col)
+                c[r][col] += v[r] * v[col];
+        }
+    }
+    SymmetricEigen3 eig = symmetricEigen3(c);
+    // Smallest-eigenvalue eigenvector = surface normal.
+    Vec3 n{eig.vectors[0][2], eig.vectors[1][2], eig.vectors[2][2]};
+    if (n.dot(viewpoint - p) < 0.0)
+        n = -n;
+    return n;
+}
+
+/**
+ * Estimate normals[id] for every listed cloud point: one batched k-NN
+ * on @p tree (the irregular neighborhood gathering), then one
+ * covariance eigensolve per point in parallel (matrix operations).
+ */
+void
+fillNormals(const PointCloud &cloud, const BucketKdTree<3> &tree,
+            std::size_t k, const Vec3 &viewpoint,
+            const std::vector<std::uint32_t> &ids,
+            std::vector<Vec3> &normals, PhaseProfiler *profiler)
+{
+    if (ids.empty())
+        return;
+    std::vector<KdHit> hits;
+    {
+        ScopedPhase phase(profiler, "normals-nn");
+        std::vector<std::array<double, 3>> queries(ids.size());
+        for (std::size_t j = 0; j < ids.size(); ++j) {
+            const Vec3 &p = cloud[ids[j]];
+            queries[j] = {p.x, p.y, p.z};
+        }
+        // Each query's k slots are padded by repeating its last hit
+        // when the cloud is smaller than k.
+        tree.kNearestBatch(queries, k, hits);
+    }
+    {
+        ScopedPhase phase(profiler, "normals-eigen");
+        parallelFor(0, ids.size(), 0, [&](std::size_t j) {
+            normals[ids[j]] = pcaNormal(cloud, cloud[ids[j]],
+                                        hits.data() + j * k, k, viewpoint);
+        });
+    }
+}
+
+} // namespace
+
 std::vector<Vec3>
 estimateNormals(const PointCloud &cloud, int k, const Vec3 &viewpoint,
                 PhaseProfiler *profiler)
 {
     RTR_ASSERT(k >= 3, "normal estimation needs k >= 3");
-    const auto n_points = cloud.size();
-    const auto kk = static_cast<std::size_t>(k);
-
-    // Pass 1 (irregular memory): build the index and gather every
-    // point's neighborhood.
-    std::vector<std::uint32_t> neighbor_ids(n_points * kk);
     BucketKdTree<3> tree;
-    {
-        ScopedPhase phase(profiler, "normals-nn-build");
-        buildIndex(tree, cloud);
-    }
-    {
-        ScopedPhase phase(profiler, "normals-nn");
-        std::vector<std::array<double, 3>> queries;
-        fillQueries(cloud, queries);
-        // Batched k-NN; each query's k slots are padded by repeating
-        // its last hit when the cloud is smaller than k.
-        std::vector<KdHit> hits;
-        tree.kNearestBatch(queries, kk, hits);
-        for (std::size_t i = 0; i < n_points * kk; ++i)
-            neighbor_ids[i] = hits[i].id;
-    }
-
-    // Pass 2 (matrix operations): per-point covariance eigensolve.
-    std::vector<Vec3> normals(n_points);
-    {
-        ScopedPhase phase(profiler, "normals-eigen");
-        parallelFor(0, n_points, 0, [&](std::size_t i) {
-            const Vec3 &p = cloud[i];
-            Vec3 mean;
-            for (std::size_t j = 0; j < kk; ++j)
-                mean += cloud[neighbor_ids[i * kk + j]];
-            mean = mean / static_cast<double>(kk);
-            double c[3][3] = {};
-            for (std::size_t j = 0; j < kk; ++j) {
-                Vec3 d = cloud[neighbor_ids[i * kk + j]] - mean;
-                const double v[3] = {d.x, d.y, d.z};
-                for (int r = 0; r < 3; ++r) {
-                    for (int col = 0; col < 3; ++col)
-                        c[r][col] += v[r] * v[col];
-                }
-            }
-            Matrix cov{{c[0][0], c[0][1], c[0][2]},
-                       {c[1][0], c[1][1], c[1][2]},
-                       {c[2][0], c[2][1], c[2][2]}};
-            SymmetricEigen eig = symmetricEigen(cov);
-            // Smallest-eigenvalue eigenvector = surface normal.
-            Vec3 n{eig.vectors(0, 2), eig.vectors(1, 2),
-                   eig.vectors(2, 2)};
-            if (n.dot(viewpoint - p) < 0.0)
-                n = -n;
-            normals[i] = n;
-        });
-    }
+    buildIndex(tree, cloud, profiler);
+    std::vector<std::uint32_t> ids(cloud.size());
+    std::iota(ids.begin(), ids.end(), 0u);
+    std::vector<Vec3> normals(cloud.size());
+    fillNormals(cloud, tree, static_cast<std::size_t>(k), viewpoint, ids,
+                normals, profiler);
     return normals;
+}
+
+struct IcpPlaneTarget::Impl
+{
+    const PointCloud &target;
+    BucketKdTree<3> tree;
+    std::size_t k = 0;
+    Vec3 viewpoint;
+    /** normals[i] is valid once known[i] is set. */
+    std::vector<Vec3> normals;
+    std::vector<std::uint8_t> known;
+    std::size_t computed = 0;
+
+    Impl(const PointCloud &cloud, PhaseProfiler *profiler) : target(cloud)
+    {
+        buildIndex(tree, target, profiler);
+    }
+};
+
+IcpPlaneTarget::IcpPlaneTarget(const PointCloud &target, int k,
+                               const Vec3 &viewpoint,
+                               PhaseProfiler *profiler)
+    : impl_(std::make_unique<Impl>(target, profiler))
+{
+    RTR_ASSERT(k >= 3, "normal estimation needs k >= 3");
+    impl_->k = static_cast<std::size_t>(k);
+    impl_->viewpoint = viewpoint;
+    impl_->normals.resize(target.size());
+    impl_->known.assign(target.size(), 0);
+}
+
+IcpPlaneTarget::IcpPlaneTarget(const PointCloud &target,
+                               const std::vector<Vec3> &normals,
+                               PhaseProfiler *profiler)
+    : impl_(std::make_unique<Impl>(target, profiler))
+{
+    RTR_ASSERT(normals.size() == target.size(),
+               "one normal per target point required");
+    impl_->normals = normals;
+    impl_->known.assign(target.size(), 1);
+}
+
+IcpPlaneTarget::~IcpPlaneTarget() = default;
+
+std::size_t
+IcpPlaneTarget::normalsComputed() const
+{
+    return impl_->computed;
 }
 
 namespace {
@@ -328,25 +395,19 @@ rotationFromEuler(double ax, double ay, double az)
 } // namespace
 
 IcpResult
-icpPointToPlane(const PointCloud &source, const PointCloud &target,
-                const std::vector<Vec3> &target_normals,
+icpPointToPlane(const PointCloud &source, IcpPlaneTarget &plane,
                 const IcpConfig &config, PhaseProfiler *profiler)
 {
-    RTR_ASSERT(target_normals.size() == target.size(),
-               "one normal per target point required");
+    IcpPlaneTarget::Impl &t = *plane.impl_;
+    const PointCloud &target = t.target;
     RTR_ASSERT(source.size() >= 6 && target.size() >= 6,
                "point-to-plane ICP needs >= 6 points");
     IcpResult result;
 
-    BucketKdTree<3> tree;
-    {
-        ScopedPhase phase(profiler, "icp-nn-build");
-        buildIndex(tree, target);
-    }
-
     PointCloud moved = source;
     std::vector<std::array<double, 3>> queries; // reused per iteration
     std::vector<KdHit> hits;                    // reused per iteration
+    std::vector<std::uint32_t> missing;         // reused per iteration
     double prev_rmse = std::numeric_limits<double>::max();
     const double max_d2 =
         config.max_correspondence_distance > 0.0
@@ -357,27 +418,44 @@ icpPointToPlane(const PointCloud &source, const PointCloud &target,
     for (int iter = 0; iter < config.max_iterations; ++iter) {
         result.iterations = iter + 1;
 
-        // Accumulate the 6x6 normal equations A x = b over the
-        // correspondences; x = (ax, ay, az, tx, ty, tz).
-        double a[6][6] = {};
-        double b[6] = {};
-        double err_sum = 0.0;
-        std::size_t pairs = 0;
         {
             ScopedPhase phase(profiler, "icp-nn");
             // Same parallel-map / ordered-serial-reduce split as
-            // icpRegister: concurrent kd-tree queries, then the 6x6
-            // normal-equation accumulation in sequential point order.
-            const std::size_t n_moved = moved.size();
+            // icpRegister: concurrent kd-tree queries, then a serial
+            // pass in point order that lists the kept correspondences'
+            // targets whose normal is not known yet (each once).
             fillQueries(moved, queries);
-            tree.nearestBatch(queries, hits);
-            for (std::size_t i = 0; i < n_moved; ++i) {
+            t.tree.nearestBatch(queries, hits);
+            missing.clear();
+            for (const KdHit &hit : hits) {
+                if (hit.dist2 > max_d2 || t.known[hit.id])
+                    continue;
+                t.known[hit.id] = 1;
+                missing.push_back(hit.id);
+            }
+        }
+        fillNormals(target, t.tree, t.k, t.viewpoint, missing, t.normals,
+                    profiler);
+        t.computed += missing.size();
+
+        RigidTransform3 step;
+        {
+            ScopedPhase phase(profiler, "icp-solve");
+            // Accumulate the 6x6 normal equations A x = b over the
+            // correspondences in sequential point order, so the sums
+            // are the same at any thread count; x = (ax, ay, az, tx,
+            // ty, tz).
+            double a[6][6] = {};
+            double b[6] = {};
+            double err_sum = 0.0;
+            std::size_t pairs = 0;
+            for (std::size_t i = 0; i < hits.size(); ++i) {
                 const KdHit &hit = hits[i];
                 if (hit.dist2 > max_d2)
                     continue;
                 const Vec3 &p = moved[i];
                 const Vec3 &q = target[hit.id];
-                const Vec3 &n = target_normals[hit.id];
+                const Vec3 &n = t.normals[hit.id];
                 double r = (p - q).dot(n);
                 Vec3 cxn = p.cross(n);
                 const double j[6] = {cxn.x, cxn.y, cxn.z, n.x, n.y, n.z};
@@ -389,20 +467,16 @@ icpPointToPlane(const PointCloud &source, const PointCloud &target,
                 err_sum += r * r;
                 ++pairs;
             }
-        }
-        if (pairs < 6)
-            break;
-        result.rmse = std::sqrt(err_sum / static_cast<double>(pairs));
-        if (std::abs(prev_rmse - result.rmse) <
-            config.convergence_delta) {
-            result.converged = true;
-            break;
-        }
-        prev_rmse = result.rmse;
+            if (pairs < 6)
+                break;
+            result.rmse = std::sqrt(err_sum / static_cast<double>(pairs));
+            if (std::abs(prev_rmse - result.rmse) <
+                config.convergence_delta) {
+                result.converged = true;
+                break;
+            }
+            prev_rmse = result.rmse;
 
-        RigidTransform3 step;
-        {
-            ScopedPhase phase(profiler, "icp-solve");
             Matrix amat(6, 6);
             Matrix bvec(6, 1);
             for (int row = 0; row < 6; ++row) {
@@ -431,6 +505,15 @@ icpPointToPlane(const PointCloud &source, const PointCloud &target,
         }
     }
     return result;
+}
+
+IcpResult
+icpPointToPlane(const PointCloud &source, const PointCloud &target,
+                const std::vector<Vec3> &target_normals,
+                const IcpConfig &config, PhaseProfiler *profiler)
+{
+    IcpPlaneTarget plane(target, target_normals, profiler);
+    return icpPointToPlane(source, plane, config, profiler);
 }
 
 } // namespace rtr

@@ -1,12 +1,17 @@
 /**
  * @file
- * Iterative Closest Point (point-to-point) registration.
+ * Iterative Closest Point registration: point-to-point and
+ * point-to-plane.
  *
  * The registration core of the scene-reconstruction kernel (03.srec),
  * following the classic KinectFusion-style pipeline the paper builds on:
  * per iteration, correspondences via nearest-neighbor search, then the
- * closed-form optimal rigid motion via Horn's quaternion method. Every
- * neighbor query runs on the leaf-bucketed k-d tree (bucket_kdtree.h).
+ * closed-form optimal rigid motion via Horn's quaternion method
+ * (point-to-point) or the linearized 6x6 normal equations
+ * (point-to-plane). Every neighbor query runs on the leaf-bucketed k-d
+ * tree (bucket_kdtree.h). Point-to-plane builds one index over its
+ * target and estimates a target point's normal only when a
+ * correspondence first hits it (IcpPlaneTarget).
  */
 
 #ifndef RTR_POINTCLOUD_ICP_H
@@ -112,16 +117,68 @@ RigidTransform3 bestRigidTransform(const std::vector<Vec3> &source,
 /**
  * Per-point surface normals by local PCA: the smallest-eigenvalue
  * eigenvector of each point's k-neighborhood covariance. Orientation is
- * disambiguated towards @p viewpoint.
+ * disambiguated towards @p viewpoint. When the cloud has fewer than k
+ * points, a neighborhood repeats its farthest neighbor up to k.
  *
- * @param profiler Optional; accumulates "normals-nn-build" (index
+ * The eager form of the table IcpPlaneTarget fills on demand: the same
+ * per-point routine, run for every point, so each normal is bitwise
+ * equal to the one point-to-plane ICP computes for that point.
+ *
+ * @param profiler Optional; accumulates "icp-nn-build" (index
  *        construction), "normals-nn" (the irregular neighborhood
- *        gathering) and "normals-eigen" (the per-point covariance
+ *        gathering) and "normals-eigen" (the per-point 3x3 covariance
  *        eigendecompositions — matrix operations).
  */
 std::vector<Vec3> estimateNormals(const PointCloud &cloud, int k,
                                   const Vec3 &viewpoint,
                                   PhaseProfiler *profiler = nullptr);
+
+/**
+ * Point-to-plane ICP target: the target cloud, its one nearest-neighbor
+ * index, and a per-point normal table filled on demand. Registration
+ * reads only the normals of target points that some correspondence
+ * hits, so each such normal is estimated (k-neighborhood PCA on the
+ * same index, as estimateNormals does) the first time a correspondence
+ * hits it, and kept for the later iterations. A normal depends only on
+ * the cloud, the point, k and the viewpoint, so results are the same
+ * at any thread count and equal to registering against the eager
+ * estimateNormals table.
+ *
+ * Holds a reference to the target cloud, which must outlive it and stay
+ * unchanged. Not thread-safe: one registration at a time.
+ */
+class IcpPlaneTarget
+{
+  public:
+    /**
+     * Index @p target ("icp-nn-build" phase). Normals are estimated
+     * from @p k neighbors and oriented towards @p viewpoint.
+     */
+    IcpPlaneTarget(const PointCloud &target, int k, const Vec3 &viewpoint,
+                   PhaseProfiler *profiler = nullptr);
+    ~IcpPlaneTarget();
+    IcpPlaneTarget(const IcpPlaneTarget &) = delete;
+    IcpPlaneTarget &operator=(const IcpPlaneTarget &) = delete;
+
+    /** Normals estimated so far (at most the target's point count). */
+    std::size_t normalsComputed() const;
+
+  private:
+    /** Target with a caller-supplied, complete normal table. */
+    IcpPlaneTarget(const PointCloud &target,
+                   const std::vector<Vec3> &normals,
+                   PhaseProfiler *profiler);
+
+    friend IcpResult icpPointToPlane(const PointCloud &,
+                                     IcpPlaneTarget &, const IcpConfig &,
+                                     PhaseProfiler *);
+    friend IcpResult icpPointToPlane(const PointCloud &,
+                                     const PointCloud &,
+                                     const std::vector<Vec3> &,
+                                     const IcpConfig &, PhaseProfiler *);
+    struct Impl;
+    std::unique_ptr<Impl> impl_;
+};
 
 /**
  * Point-to-plane ICP: minimizes sum((R p + t - q) . n)^2 by solving the
@@ -130,7 +187,20 @@ std::vector<Vec3> estimateNormals(const PointCloud &cloud, int k,
  * builds on; unlike point-to-point it does not slide along planar
  * structure.
  *
- * @param target_normals One unit normal per target point.
+ * Per iteration: "icp-nn" (correspondence search, entered exactly once
+ * per iteration), then "normals-nn" / "normals-eigen" for target points
+ * hit for the first time, then "icp-solve" (normal-equation assembly
+ * and solve) and "icp-apply".
+ */
+IcpResult icpPointToPlane(const PointCloud &source, IcpPlaneTarget &target,
+                          const IcpConfig &config = {},
+                          PhaseProfiler *profiler = nullptr);
+
+/**
+ * Point-to-plane ICP against a precomputed normal table (one unit
+ * normal per target point). Builds the target index ("icp-nn-build")
+ * and runs the same loop as the IcpPlaneTarget overload, with every
+ * normal already known.
  */
 IcpResult icpPointToPlane(const PointCloud &source,
                           const PointCloud &target,

@@ -6,6 +6,7 @@
  */
 
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -84,6 +85,27 @@ TEST(FailuresDeathTest, UnknownKernelIsFatal)
 {
     EXPECT_EXIT(makeKernel("warp-drive"), ::testing::ExitedWithCode(1),
                 "unknown kernel");
+}
+
+TEST(FailuresDeathTest, SrecRejectsUnrunnableConfigurations)
+{
+    // Each of these used to reach an internal assertion and abort.
+    const std::vector<std::vector<std::string>> bad = {
+        {"--frames", "0"},
+        {"--frames", "1"},
+        {"--frames", "-3"},
+        {"--voxel", "0"},
+        {"--voxel", "-1"},
+        {"--voxel", "nan"},
+        {"--scan-width", "2", "--scan-height", "2"},
+        {"--scan-width", "-2", "--scan-height", "-3"},
+        {"--icp-iterations", "0"},
+    };
+    for (const std::vector<std::string> &args : bad) {
+        EXPECT_EXIT(makeKernel("srec")->runWithDefaults(args),
+                    ::testing::ExitedWithCode(1), "fatal: --")
+            << args[0] << " " << args[1];
+    }
 }
 
 TEST(FailuresDeathTest, QuantileOfEmptySetPanics)

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "geom/angle.h"
 #include "pointcloud/icp.h"
 #include "pointcloud/scene_gen.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace rtr {
@@ -159,6 +161,108 @@ TEST(IcpPointToPlane, DoesNotSlideOnPlaneWithFeatures)
     config.max_iterations = 40;
     IcpResult result = icpPointToPlane(source, target, normals, config);
     EXPECT_NEAR(result.transform.translation.x, 0.08, 0.03);
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/** Two ICP results agree bit for bit (transform, rmse, counts). */
+void
+expectSameResult(const IcpResult &a, const IcpResult &b)
+{
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.converged, b.converged);
+    EXPECT_TRUE(sameBits(a.rmse, b.rmse)) << a.rmse << " vs " << b.rmse;
+    EXPECT_EQ(std::memcmp(a.transform.rotation.data(),
+                          b.transform.rotation.data(), 9 * sizeof(double)),
+              0);
+    EXPECT_TRUE(sameBits(a.transform.translation.x, b.transform.translation.x));
+    EXPECT_TRUE(sameBits(a.transform.translation.y, b.transform.translation.y));
+    EXPECT_TRUE(sameBits(a.transform.translation.z, b.transform.translation.z));
+}
+
+TEST(IcpPlaneTarget, ParallelOnDemandNormalsMatchEagerBitwise)
+{
+    // srec's per-frame registration (model built from the scans so far,
+    // point-to-plane ICP with k = 10 normals) with normals estimated on
+    // demand must equal ICP fed the eager estimateNormals table, at any
+    // thread count. Seed 7 is one where srec misses its pose-error bar.
+    DepthCamera camera;
+    camera.width = 48;
+    camera.height = 36;
+    IcpConfig config;
+    config.max_iterations = 25;
+    config.max_correspondence_distance = 0.5;
+    for (std::uint64_t seed : {1u, 2u, 3u, 7u}) {
+        IndoorScene scene = IndoorScene::livingRoom(seed);
+        std::vector<CameraPose> trajectory = makeTrajectory(scene, 4);
+        Rng rng(seed * 31 + 5);
+        std::vector<PointCloud> scans;
+        for (const CameraPose &pose : trajectory)
+            scans.push_back(simulateScan(scene, pose, camera, rng));
+
+        PointCloud model = scans[0];
+        RigidTransform3 pose;
+        std::size_t seed_computed = 0;
+        for (std::size_t f = 1; f < scans.size(); ++f) {
+            const PointCloud seeded = scans[f].transformed(pose);
+            IcpResult first;
+            std::size_t first_computed = 0;
+            for (std::size_t threads : {1u, 2u, 4u}) {
+                setParallelThreads(threads);
+                std::vector<Vec3> normals =
+                    estimateNormals(model, 10, pose.translation);
+                IcpResult eager =
+                    icpPointToPlane(seeded, model, normals, config);
+                IcpPlaneTarget target(model, 10, pose.translation);
+                IcpResult lazy = icpPointToPlane(seeded, target, config);
+                SCOPED_TRACE("seed " + std::to_string(seed) + " frame " +
+                             std::to_string(f) + " threads " +
+                             std::to_string(threads));
+                expectSameResult(eager, lazy);
+                EXPECT_LT(target.normalsComputed(), model.size());
+                if (threads == 1) {
+                    first = lazy;
+                    first_computed = target.normalsComputed();
+                } else {
+                    expectSameResult(first, lazy);
+                    EXPECT_EQ(target.normalsComputed(), first_computed);
+                }
+            }
+            seed_computed += first_computed;
+            pose = first.transform.compose(pose);
+            model.append(scans[f].transformed(pose));
+            model = model.voxelDownsampled(0.04);
+        }
+        EXPECT_GT(seed_computed, 0u) << "seed " << seed;
+    }
+    setParallelThreads(0);
+}
+
+TEST(IcpPlaneTarget, TargetSmallerThanKPadsNeighborhoods)
+{
+    // 8 target points, k = 10: every neighborhood repeats its farthest
+    // neighbor, on the on-demand path as in estimateNormals.
+    Rng rng(12);
+    PointCloud target;
+    for (int i = 0; i < 8; ++i)
+        target.add({rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0),
+                    0.1 * rng.uniform(0.0, 1.0)});
+    RigidTransform3 offset;
+    offset.translation = {0.02, -0.01, 0.03};
+    PointCloud source = target.transformed(offset.inverted());
+    const Vec3 viewpoint{0.5, 0.5, 3.0};
+
+    std::vector<Vec3> normals = estimateNormals(target, 10, viewpoint);
+    IcpResult eager = icpPointToPlane(source, target, normals);
+    IcpPlaneTarget plane(target, 10, viewpoint);
+    IcpResult lazy = icpPointToPlane(source, plane);
+    expectSameResult(eager, lazy);
+    EXPECT_GT(plane.normalsComputed(), 0u);
+    EXPECT_LE(plane.normalsComputed(), target.size());
 }
 
 TEST(SceneGen, LivingRoomIsDeterministic)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "linalg/decomp.h"
 #include "linalg/eigen.h"
@@ -253,6 +254,65 @@ TEST(Eigen, EigenpairsSatisfyDefinition)
         Matrix lv = v * eig.values[j];
         EXPECT_TRUE(av.approxEquals(lv, 1e-7));
     }
+}
+
+/** symmetricEigen3 must reproduce symmetricEigen bit for bit. */
+void
+expectEigen3MatchesBitwise(const double (&a)[3][3])
+{
+    Matrix m(3, 3);
+    for (std::size_t r = 0; r < 3; ++r) {
+        for (std::size_t c = 0; c < 3; ++c)
+            m(r, c) = a[r][c];
+    }
+    SymmetricEigen ref = symmetricEigen(m);
+    SymmetricEigen3 fixed = symmetricEigen3(a);
+    EXPECT_EQ(std::memcmp(fixed.values, ref.values.data(),
+                          sizeof(fixed.values)),
+              0);
+    for (std::size_t r = 0; r < 3; ++r) {
+        for (std::size_t c = 0; c < 3; ++c) {
+            const double want = ref.vectors(r, c);
+            EXPECT_EQ(std::memcmp(&fixed.vectors[r][c], &want,
+                                  sizeof(double)),
+                      0)
+                << "vector entry (" << r << "," << c << ")";
+        }
+    }
+}
+
+TEST(Eigen3, BitwiseEqualsSymmetricEigen)
+{
+    // Random symmetric matrices, indefinite ones included.
+    Rng rng(43);
+    for (int trial = 0; trial < 200; ++trial) {
+        double a[3][3];
+        for (int r = 0; r < 3; ++r) {
+            for (int c = r; c < 3; ++c)
+                a[r][c] = a[c][r] = rng.uniform(-2.0, 2.0);
+        }
+        expectEigen3MatchesBitwise(a);
+    }
+    // Diagonal: converged before the first rotation, sorted only.
+    expectEigen3MatchesBitwise({{1.0, 0.0, 0.0}, {0.0, 5.0, 0.0},
+                                {0.0, 0.0, 3.0}});
+    expectEigen3MatchesBitwise({{-2.0, 0.0, 0.0}, {0.0, 0.0, 0.0},
+                                {0.0, 0.0, 7.5}});
+    // Repeated eigenvalues: a multiple of the identity, and
+    // Q diag(1, 1, 3) Q^T for a rotation Q.
+    expectEigen3MatchesBitwise({{2.0, 0.0, 0.0}, {0.0, 2.0, 0.0},
+                                {0.0, 0.0, 2.0}});
+    expectEigen3MatchesBitwise({{5.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0},
+                                {2.0 / 3.0, 5.0 / 3.0, 2.0 / 3.0},
+                                {2.0 / 3.0, 2.0 / 3.0, 5.0 / 3.0}});
+    // Zero eigenvalues: the zero matrix, rank one (u u^T) and rank two
+    // (a planar neighborhood covariance).
+    expectEigen3MatchesBitwise({{0.0, 0.0, 0.0}, {0.0, 0.0, 0.0},
+                                {0.0, 0.0, 0.0}});
+    expectEigen3MatchesBitwise({{1.0, 2.0, 3.0}, {2.0, 4.0, 6.0},
+                                {3.0, 6.0, 9.0}});
+    expectEigen3MatchesBitwise({{2.0, 1.0, 0.0}, {1.0, 2.0, 0.0},
+                                {0.0, 0.0, 0.0}});
 }
 
 } // namespace

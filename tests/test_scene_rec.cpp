@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "kernels/registry.h"
 #include "perception/scene_reconstruction.h"
 #include "pointcloud/scene_gen.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace rtr {
@@ -95,6 +97,29 @@ TEST(SceneRec, ProfilerCoversPipelinePhases)
     EXPECT_GT(profiler.phaseNs("merge"), 0);
     EXPECT_GT(profiler.phaseNs("normals-nn"), 0);
     EXPECT_GT(profiler.phaseNs("normals-eigen"), 0);
+    // One model index per registered scan, none for normals alone.
+    EXPECT_EQ(profiler.phaseCount("icp-nn-build"), 2);
+    EXPECT_EQ(profiler.phaseCount("normals-nn-build"), 0);
+}
+
+TEST(SceneRec, ParallelNormalCountsAreThreadInvariant)
+{
+    // srec estimates only the model normals ICP reads: fewer than the
+    // model points it indexes, and the same count at any thread count.
+    double computed = 0.0;
+    for (const char *threads : {"1", "2", "4"}) {
+        KernelReport report = makeKernel("srec")->runWithDefaults(
+            {"--frames", "4", "--scan-width", "48", "--scan-height", "36",
+             "--threads", threads});
+        const double normals = report.metrics.at("normals_computed");
+        const double indexed = report.metrics.at("model_points_indexed");
+        EXPECT_GT(normals, 0.0);
+        EXPECT_LT(normals, indexed) << threads << " threads";
+        if (computed == 0.0)
+            computed = normals;
+        EXPECT_EQ(normals, computed) << threads << " threads";
+    }
+    setParallelThreads(0);
 }
 
 } // namespace
